@@ -32,15 +32,8 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, all_points, compose
-from .transform import (
-    Spectrum,
-    _pary_digit_spectra,
-    _digit_vector_to_cycint,
-    _rank_vector,
-    _vector_rank,
-    wht_naive,
-)
+from .gbfunc import ComponentTuple, GBFunction, all_points, combine, compose
+from .transform import Spectrum, _rank_vector, _vector_rank, wht_fast, wht_pary_fast
 
 ALPHAS = ("+1", "-1", "+i", "-i")
 _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -95,7 +88,7 @@ class GbentReport:
 def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     """True iff norm_sq(S_f(u)) = p^n at every point."""
     if spectrum is None:
-        spectrum = wht_naive(f)
+        spectrum = wht_fast(f)
     target = CycInt.integer(spectrum.modulus, f.p**f.n)
     points = all_points(f.p, f.n)
     failures = tuple(
@@ -138,7 +131,7 @@ def spectral_form(
     not pinned down by {+1,-1,+i,-i}).
     """
     if spectrum is None:
-        spectrum = wht_naive(f)
+        spectrum = wht_fast(f)
     candidates = _unit_candidates(f.p, f.n, f.q, spectrum.modulus)
     points = all_points(f.p, f.n)
     forms: list[Optional[SpectralForm]] = []
@@ -253,26 +246,15 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     return tuple(out)
 
 
-def _component_vectors(t: ComponentTuple) -> list[list[CycInt]]:
+def _component_vectors(t: ComponentTuple) -> list[tuple[CycInt, ...]]:
     """Per-point vectors of combination spectra, indexed [u][rank of a]."""
-    from .gbfunc import combine
-
     p = t.p
     modulus = lcm(4, p)
-    size = p**t.n
-    per_combination = []
-    for rank in range(p ** (t.k - 1)):
-        a = _rank_vector(p, t.k - 1, rank)
-        per_combination.append(_pary_digit_spectra(combine(t, a)))
-    vectors = []
-    for u in range(size):
-        vectors.append(
-            [
-                _digit_vector_to_cycint(rows[u], p, modulus)
-                for rows in per_combination
-            ]
-        )
-    return vectors
+    per_combination = [
+        wht_pary_fast(combine(t, _rank_vector(p, t.k - 1, rank)), modulus).values
+        for rank in range(p ** (t.k - 1))
+    ]
+    return list(zip(*per_combination))
 
 
 def component_row_table(t: ComponentTuple) -> tuple[Optional[RowDecomp], ...]:
@@ -345,7 +327,7 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
         )
         dual_table.append(value % q)
     dual = GBFunction(p, t.n, q, tuple(dual_table))
-    spectrum = wht_naive(compose(t))
+    spectrum = wht_fast(compose(t))
     scale = sqrt_p_power(p, t.n, spectrum.modulus)
     prefactor = scale * alpha_element(alpha, spectrum.modulus)
     step_q = spectrum.modulus // q

@@ -24,24 +24,20 @@ import sys
 from importlib import resources
 from typing import Optional, Sequence
 
-from .classify import (
-    RowDecomp,
-    component_row_table,
-    is_gbent,
-    regularity,
-    spectral_form,
-)
+from .classify import RowDecomp, component_row_table, is_gbent, regularity
 from .errors import FunctionFormatError
 from .gbfunc import (
     FunctionDoc,
+    all_points,
     digits,
     function_to_text,
+    index_point,
     load_function,
     point_index,
 )
 from .construct import build_maiorana, built_function_doc, example_maiorana_q21, \
     example_maiorana_q27, enumerate_pary_bent, load_construction, quadratic_sweep
-from .transform import spectrum_records, wht_naive
+from .transform import spectrum_records, wht_fast
 
 _REFERENCE_TABLES = {
     "q27": ("table_q27.txt", example_maiorana_q27),
@@ -51,16 +47,6 @@ _REFERENCE_TABLES = {
 
 def _fmt_point(u: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in u) + ")"
-
-
-def _little_endian_points(p: int, n: int):
-    """Points of Z_p^n in reference-table order (first coordinate fastest)."""
-    for t in range(p**n):
-        u, r = [], t
-        for _ in range(n):
-            u.append(r % p)
-            r //= p
-        yield tuple(u)
 
 
 def _write_output(lines: list[str], path: Optional[str]) -> None:
@@ -75,18 +61,10 @@ def _write_output(lines: list[str], path: Optional[str]) -> None:
 # -- analyze -------------------------------------------------------------------
 
 
-def _analyze_lines(doc: FunctionDoc, fmt: str, jobs: int) -> tuple[list[str], bool]:
+def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
     f = doc.function
-    spectrum = wht_naive(f, jobs=jobs)
-    gb = is_gbent(f, spectrum)
-    reg = regularity(f, spectrum)
-    comps = doc.components
-    if comps is None and f.is_prime_power:
-        comps = digits(f)
-    rows: Optional[tuple[Optional[RowDecomp], ...]] = None
-    if comps is not None:
-        rows = component_row_table(comps)
-    forms = spectral_form(f, spectrum)
+    reg = regularity(f)
+    gb, forms = reg.gbent, reg.spectral
 
     lines: list[str] = []
     source = "components" if doc.components is not None else "table"
@@ -110,6 +88,12 @@ def _analyze_lines(doc: FunctionDoc, fmt: str, jobs: int) -> tuple[list[str], bo
         witnesses = " ".join(_fmt_point(u) for u in gb.failures)
         lines.append(f"failing points ({len(gb.failures)}): {witnesses}")
         return lines, False
+    comps = doc.components
+    if comps is None and f.is_prime_power:
+        comps = digits(f)
+    rows: Optional[tuple[Optional[RowDecomp], ...]] = None
+    if comps is not None:
+        rows = component_row_table(comps)
     if forms.failures:
         witnesses = " ".join(_fmt_point(u) for u in forms.failures)
         lines.append(
@@ -118,8 +102,6 @@ def _analyze_lines(doc: FunctionDoc, fmt: str, jobs: int) -> tuple[list[str], bo
     if fmt == "text":
         lines.append("per-point spectral data:")
     lines.append("point\talpha\tj\tr\tdual")
-    from .gbfunc import all_points
-
     points = all_points(f.p, f.n)
     for u in range(len(points)):
         form = forms.forms[u]
@@ -130,7 +112,7 @@ def _analyze_lines(doc: FunctionDoc, fmt: str, jobs: int) -> tuple[list[str], bo
         else:
             j = r = "-"
         lines.append(f"{_fmt_point(points[u])}\t{alpha}\t{j}\t{r}\t{dual}")
-    return lines, gb.is_gbent
+    return lines, True
 
 
 def cmd_analyze(args) -> int:
@@ -142,7 +124,7 @@ def cmd_analyze(args) -> int:
     except FunctionFormatError as e:
         print(f"analyze: {args.input}: {e}", file=sys.stderr)
         return 2
-    lines, ok = _analyze_lines(doc, args.format, args.jobs)
+    lines, ok = _analyze_lines(doc, args.format)
     _write_output(lines, args.output)
     return 0 if ok else 1
 
@@ -249,12 +231,16 @@ def cmd_tables(args) -> int:
             decomps = component_row_table(t)
             mismatches, labeling = compare_reference_tables(name, args.golden)
             undecomposed = sum(1 for d in decomps if d is None)
+            # Reference-table order: the first coordinate varies fastest.
+            points = [
+                tuple(reversed(index_point(t.p, t.n, i))) for i in range(t.p**t.n)
+            ]
             if args.format == "text":
                 lines.append(
                     f"table {name}: p={spec.p} n={spec.n} q={spec.q}, "
                     f"component vectors as alpha * z3^j * H9[r]"
                 )
-                for u in _little_endian_points(t.p, t.n):
+                for u in points:
                     d = decomps[point_index(t.p, u)]
                     if d is None:
                         lines.append(f"{_fmt_point(u)}\t<no decomposition>")
@@ -263,7 +249,7 @@ def cmd_tables(args) -> int:
                     power = "" if d.j == 0 else f"z3^{d.j}*"
                     lines.append(f"{_fmt_point(u)}\t{prefix}{power}H9[{d.row}]")
             else:
-                for u in _little_endian_points(t.p, t.n):
+                for u in points:
                     d = decomps[point_index(t.p, u)]
                     alpha, j, r = (d.alpha, d.j, d.row) if d else ("-", "-", "-")
                     lines.append(
@@ -299,7 +285,7 @@ def cmd_spectrum(args) -> int:
         print(f"spectrum: {args.input}: {e}", file=sys.stderr)
         return 2
     f = doc.function
-    s = wht_naive(f, jobs=args.jobs)
+    s = wht_fast(f)
     lines = []
     if args.format == "text":
         lines.append(
@@ -397,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         if jobs:
             p.add_argument(
                 "--jobs", type=_positive_int, default=1,
-                help="worker processes for per-point spectrum work",
+                help="accepted for compatibility: work runs in one process, "
+                "and output is identical for any N",
             )
         if seed:
             p.add_argument(

@@ -110,9 +110,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-modulus tables: Phi_M and canonical forms of every power of zeta_M."""
+    """Per-modulus tables: Phi_M and canonical forms of every power of zeta_M.
 
-    __slots__ = ("modulus", "degree", "phi", "power_table")
+    sparse_powers[e] lists the nonzero (index, coefficient) pairs of
+    power_table[e]; there are few, since a power of zeta_M reduces to a
+    handful of basis terms.
+    """
+
+    __slots__ = ("modulus", "degree", "phi", "power_table", "sparse_powers")
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -132,6 +137,9 @@ class _Context:
         if tuple(cur) != table[0]:
             raise InternalConsistencyError("zeta^M did not reduce to 1")
         self.power_table = tuple(table)
+        self.sparse_powers = tuple(
+            tuple((i, r) for i, r in enumerate(row) if r) for row in table
+        )
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from .transform import (
     gamma_sum,
     inverse_wht,
     wht_composed,
+    wht_fast,
     wht_naive,
     wht_pary_fast,
     _rank_vector,
@@ -120,6 +121,10 @@ def check_fast_equals_naive(seed: int) -> None:
         for _ in range(5):
             g = PAryFunction(p, n, tuple(rng.randrange(p) for _ in range(p**n)))
             assert wht_pary_fast(g).values == wht_naive(g.as_gbfunction()).values
+    for p, n, q in ((3, 2, 9), (3, 3, 12), (3, 3, 21)):
+        for _ in range(3):
+            f = GBFunction(p, n, q, tuple(rng.randrange(q) for _ in range(p**n)))
+            assert wht_fast(f).values == wht_naive(f).values, (p, n, q)
 
 
 def check_composed_equals_naive(seed: int) -> None:

@@ -5,17 +5,24 @@ Spectra are stored UNNORMALIZED: values[u] = S_f(u) = p^(n/2) H_f(u)
 The irrational normalizer p^(-n/2) is reintroduced symbolically (through
 gauss_sqrt) only at classification time.
 
-Three evaluation paths are provided and cross-checked against each other
-by the test suite:
+One engine computes every spectrum, and two independent paths check it:
 
-  * wht_naive       - direct double loop over (u, x); the trust anchor.
-  * wht_pary_fast   - radix-p decimation over Z_p^n for p-ary functions,
-                      run in the group ring Z[Z_p] where multiplying by a
-                      power of zeta_p is a cyclic shift.
-  * wht_composed    - assembles the spectrum of a composed function from
-                      the p^(k-1) spectra of its p-ary digit combinations,
-                      weighted by the carry coefficients gamma_a and divided
-                      exactly by p^(k-1).
+  * wht_fast        - the engine, for any q: a radix-p butterfly over the
+                      group ring Z[Z_q]. Each point's element is one Python
+                      int holding q counts of b bits each, with 2^b > p^n
+                      (Kronecker substitution), so multiplying by zeta_p^t is
+                      a cyclic rotation and the butterfly adds are native
+                      bigint adds. One sparse step then maps every count to
+                      the canonical form of its power of zeta_M.
+                      wht_pary_fast is the same engine for p-ary functions,
+                      with the values embedded in a caller-chosen ring.
+  * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
+                      oracle the tests compare the engine against.
+  * wht_composed    - the paper's composition identity: assembles the
+                      spectrum of a composed function from the engine's
+                      spectra of its p^(k-1) digit combinations, weighted by
+                      the carry coefficients gamma_a and divided exactly by
+                      p^(k-1). It equals wht_naive only if the identity holds.
 
 The gamma_a coefficient is the character-weighted sum of p^k-th roots of
 unity sum_v zeta_p^(-a.v) zeta_(p^k)^(sum_j v_j p^(k-1-j)); it converts
@@ -30,9 +37,12 @@ remainder: the identities guarantee divisibility, so a failure is a bug
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import lshift
 from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, _context
@@ -71,118 +81,132 @@ def _dot_table(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _counts_to_cycint(modulus: int, counts: Sequence[int]) -> CycInt:
-    """Canonicalize an integer combination of zeta_modulus^e, e = 0..M-1."""
+def _counts_to_cycint(modulus: int, counts: Sequence[int], step: int = 1) -> CycInt:
+    """Canonicalize sum_e counts[e] zeta_modulus^(e step).
+
+    Reads only the nonzero entries of each power's canonical form, which
+    are few: a power of zeta_M reduces to a handful of basis terms.
+    """
     ctx = _context(modulus)
+    sparse = ctx.sparse_powers
     acc = [0] * ctx.degree
     for e, c in enumerate(counts):
         if c:
-            row = ctx.power_table[e]
-            for i, r in enumerate(row):
+            for i, r in sparse[e * step]:
                 acc[i] += c * r
     return CycInt(modulus, acc)
-
-
-def _naive_rows(
-    p: int, n: int, q: int, table: Sequence[int], lo: int, hi: int
-) -> list[tuple[int, ...]]:
-    """Raw exponent counts of S(u) for point indices lo..hi-1."""
-    modulus = lcm(4, q)
-    step_p = modulus // p
-    step_q = modulus // q
-    dots = _dot_table(p, n)
-    size = p**n
-    shifted = [(table[x] * step_q) % modulus for x in range(size)]
-    rows = []
-    for u in range(lo, hi):
-        du = dots[u]
-        counts = [0] * modulus
-        for x in range(size):
-            counts[(shifted[x] - du[x] * step_p) % modulus] += 1
-        rows.append(tuple(counts))
-    return rows
-
-
-def _naive_chunk(args) -> list[tuple[int, ...]]:
-    # Top-level so worker processes can unpickle it.
-    return _naive_rows(*args)
 
 
 def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
     """Direct evaluation of S(u) = sum_x zeta_p^(-u.x) zeta_q^(f(x)).
 
-    With jobs > 1 the points u are fanned across a process pool; chunks are
-    merged in point-index order, so the result is identical to jobs = 1.
+    The trusted oracle: O(p^(2n)), and independent of the engine's
+    butterfly; only the canonicalization is shared. It always runs in this
+    process: jobs must be >= 1 and has no other effect.
     """
-    modulus = lcm(4, f.q)
-    size = f.p**f.n
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or size < 64:
-        rows = _naive_rows(f.p, f.n, f.q, f.table, 0, size)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [(size * i) // jobs for i in range(jobs + 1)]
-        chunks = [
-            (f.p, f.n, f.q, f.table, bounds[i], bounds[i + 1])
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_naive_chunk, chunks):
-                rows.extend(part)
-    values = tuple(_counts_to_cycint(modulus, row) for row in rows)
-    return Spectrum(f.p, f.n, f.q, modulus, values)
-
-
-def _pary_digit_spectra(g: PAryFunction) -> list[tuple[int, ...]]:
-    """S(u) for a p-ary function as vectors of counts over zeta_p^0..zeta_p^(p-1).
-
-    Radix-p decimation: one pass per coordinate, each pass combining the p
-    cosets of that coordinate with kernel zeta_p^(-t d), i.e. cyclic shifts
-    in the group ring Z[Z_p]. Output order is the big-endian point index.
-    """
-    p, n = g.p, g.n
+    p, n, q = f.p, f.n, f.q
+    modulus = lcm(4, q)
+    step_p = modulus // p
+    step_q = modulus // q
+    dots = _dot_table(p, n)
     size = p**n
-    vecs: list[list[int]] = []
-    for x in range(size):
-        v = [0] * p
-        v[g.table[x]] = 1
-        vecs.append(v)
-    for axis in range(n):
-        stride = p ** (n - 1 - axis)
-        for prefix in range(p**axis):
-            base0 = prefix * stride * p
-            for suffix in range(stride):
-                base = base0 + suffix
-                olds = [vecs[base + d * stride] for d in range(p)]
-                for t in range(p):
-                    new = [0] * p
-                    for d in range(p):
-                        shift = (-t * d) % p
-                        o = olds[d]
-                        for e in range(p):
-                            new[(e + shift) % p] += o[e]
-                    vecs[base + t * stride] = new
-    return [tuple(v) for v in vecs]
+    shifted = [(f.table[x] * step_q) % modulus for x in range(size)]
+    values = []
+    for u in range(size):
+        du = dots[u]
+        counts = [0] * modulus
+        for x in range(size):
+            counts[(shifted[x] - du[x] * step_p) % modulus] += 1
+        values.append(_counts_to_cycint(modulus, counts))
+    return Spectrum(p, n, q, modulus, tuple(values))
 
 
-def _digit_vector_to_cycint(vec: Sequence[int], p: int, modulus: int) -> CycInt:
-    ctx = _context(modulus)
-    step = modulus // p
-    acc = [0] * ctx.degree
-    for e, c in enumerate(vec):
-        if c:
-            row = ctx.power_table[(e * step) % modulus]
-            for i, r in enumerate(row):
-                acc[i] += c * r
-    return CycInt(modulus, acc)
+# Bytes per group-ring slot -> the array typecode with that item size.
+_SLOT_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slot_bytes(size: int) -> int:
+    """The fewest bytes per slot that hold any count up to size = p^n."""
+    for nbytes in sorted(_SLOT_TYPECODES):
+        if size < 1 << (8 * nbytes):
+            return nbytes
+    raise ValueError(f"{size} points do not fit a group-ring slot")
+
+
+def _group_ring_spectrum(
+    p: int, n: int, q: int, table: Sequence[int]
+) -> tuple[list[int], int]:
+    """S(u) for every point u as a packed element of Z[Z_q], and the slot bytes.
+
+    Radix-p butterfly over Z[Z_q], one pass per coordinate, on packed ints:
+    slot e of an element, b = 8 * nbytes bits wide, counts zeta_q^e. Counts
+    are nonnegative and sum to at most p^n < 2^b, so no slot ever carries
+    into the next. The kernel zeta_p^(-t d) = zeta_q^((-t d mod p) q/p) is a
+    cyclic rotation of the q slots: shift left, then fold the bits above
+    the top slot back onto the bottom one. Output is in point-index order.
+    """
+    size = p**n
+    nbytes = _slot_bytes(size)
+    bits = 8 * nbytes
+    width = q * bits
+    mask = (1 << width) - 1
+    unit = (q // p) * bits
+    kernel = [[((-t * d) % p) * unit for d in range(p)] for t in range(p)]
+    vals = [1 << (v * bits) for v in table]
+    stride = 1
+    while stride < size:
+        span = stride * p
+        for start in range(0, size, span):
+            for base in range(start, start + stride):
+                olds = vals[base : base + span : stride]
+                for t, shifts in enumerate(kernel):
+                    acc = sum(map(lshift, olds, shifts))
+                    vals[base + t * stride] = (acc & mask) + (acc >> width)
+        stride = span
+    return vals, nbytes
+
+
+def _slot_counts(packed: int, q: int, nbytes: int) -> array:
+    """The q slot counts of a packed element, slot 0 first."""
+    # The slots are read little-endian; array items use the host byte order.
+    counts = array(_SLOT_TYPECODES[nbytes], packed.to_bytes(q * nbytes, "little"))
+    if sys.byteorder != "little":
+        counts.byteswap()
+    return counts
+
+
+def _fast_spectrum(
+    p: int, n: int, q: int, table: Sequence[int], modulus: int
+) -> Spectrum:
+    packed, nbytes = _group_ring_spectrum(p, n, q, table)
+    step = modulus // q
+    # Spectral values repeat (a gbent spectrum takes at most 4q), so each
+    # distinct element is canonicalized once.
+    canonical: dict[int, CycInt] = {}
+    values = []
+    for v in packed:
+        value = canonical.get(v)
+        if value is None:
+            value = canonical[v] = _counts_to_cycint(
+                modulus, _slot_counts(v, q, nbytes), step
+            )
+        values.append(value)
+    return Spectrum(p, n, q, modulus, tuple(values))
+
+
+def wht_fast(f: GBFunction) -> Spectrum:
+    """The spectrum of any function Z_p^n -> Z_q by the packed butterfly.
+
+    O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one sparse
+    canonicalization per distinct value. Agrees entrywise with wht_naive.
+    """
+    return _fast_spectrum(f.p, f.n, f.q, f.table, lcm(4, f.q))
 
 
 def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
-    """Butterfly evaluation of the spectrum of a p-ary function.
+    """The engine on a p-ary function, with values in Z[zeta_modulus].
 
     Agrees entrywise with wht_naive on the embedding of g as a function
     into Z_p. The optional modulus (a multiple of lcm(4, p)) lets callers
@@ -193,11 +217,7 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
         modulus = base
     elif modulus % base != 0:
         raise ValueError(f"modulus {modulus} is not a multiple of {base}")
-    digit_rows = _pary_digit_spectra(g)
-    values = tuple(
-        _digit_vector_to_cycint(row, g.p, modulus) for row in digit_rows
-    )
-    return Spectrum(g.p, g.n, g.p, modulus, values)
+    return _fast_spectrum(g.p, g.n, g.p, g.table, modulus)
 
 
 def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
@@ -343,17 +363,6 @@ def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaT
     return GammaTable(p, k, q, modulus, entries)
 
 
-def component_spectra(t: ComponentTuple, modulus: Optional[int] = None) -> dict:
-    """Digit-combination spectra {a: Spectrum} for all a in Z_p^(k-1)."""
-    if modulus is None:
-        modulus = lcm(4, t.p)
-    out = {}
-    for rank in range(t.p ** (t.k - 1)):
-        a = _rank_vector(t.p, t.k - 1, rank)
-        out[a] = wht_pary_fast(combine(t, a), modulus)
-    return out
-
-
 def wht_composed(t: ComponentTuple) -> Spectrum:
     """Spectrum of compose(t) assembled from its digit-combination spectra.
 
@@ -370,20 +379,19 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     parts = []
     for rank in range(divisor):
         a = _rank_vector(p, k - 1, rank)
-        digit_rows = _pary_digit_spectra(combine(t, a))
-        gamma_coeffs = gammas.entries[a].coeffs
-        parts.append((digit_rows, gamma_coeffs))
+        packed, nbytes = _group_ring_spectrum(p, t.n, p, combine(t, a).table)
+        digit_rows = [_slot_counts(v, p, nbytes) for v in packed]
+        gamma_terms = [(j, gc) for j, gc in enumerate(gammas.entries[a].coeffs) if gc]
+        parts.append((digit_rows, gamma_terms))
     values = []
     for u in range(size):
         counts = [0] * modulus
-        for digit_rows, gamma_coeffs in parts:
-            row = digit_rows[u]
-            for e, c in enumerate(row):
+        for digit_rows, gamma_terms in parts:
+            for e, c in enumerate(digit_rows[u]):
                 if c:
-                    shift = (e * step_p) % modulus
-                    for j, gc in enumerate(gamma_coeffs):
-                        if gc:
-                            counts[(j + shift) % modulus] += c * gc
+                    shift = e * step_p
+                    for j, gc in gamma_terms:
+                        counts[(j + shift) % modulus] += c * gc
         total = _counts_to_cycint(modulus, counts)
         try:
             values.append(total.divide_exact(divisor))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,9 @@ from gbent import (
     example_maiorana_q21,
     example_maiorana_q27,
     function_to_text,
+    load_function,
+    spectrum_records,
+    wht_naive,
 )
 from gbent.cli import compare_reference_tables, main
 
@@ -20,6 +24,11 @@ def write(path, text):
 @pytest.fixture
 def q27_file(tmp_path):
     return write(tmp_path / "f27.json", function_to_text(built_function_doc(example_maiorana_q27())))
+
+
+@pytest.fixture
+def q21_file(tmp_path):
+    return write(tmp_path / "f21.json", function_to_text(built_function_doc(example_maiorana_q21())))
 
 
 @pytest.fixture
@@ -116,6 +125,32 @@ def test_spectrum_delimited_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0].count("\t") == 2
+
+
+def test_cli_spectra_avoid_naive_transform(capsys, monkeypatch, q27_file, q21_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wht_naive reached from the CLI")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gbent" and hasattr(module, "wht_naive"):
+            monkeypatch.setattr(module, "wht_naive", refuse)
+    for path in (q27_file, q21_file):
+        code, out, _ = run(capsys, "analyze", "--input", path)
+        assert code == 0 and "verdict: gbent, regular (alpha = +1)" in out
+        code, out, _ = run(capsys, "spectrum", "--input", path, "--format", "delimited")
+        assert code == 0 and out
+    code, out, _ = run(capsys, "tables")
+    assert code == 0 and "0 mismatches, 0 undecomposed" in out
+
+
+def test_spectrum_delimited_equals_naive_records(capsys, q27_file, q21_file):
+    for path in (q27_file, q21_file):
+        code, out, _ = run(capsys, "spectrum", "--input", path, "--format", "delimited")
+        records = spectrum_records(wht_naive(load_function(path).function))
+        assert code == 0
+        assert out.splitlines() == [
+            f"{','.join(map(str, u))}\t{text}\t{norm}" for u, text, norm in records
+        ]
 
 
 def test_jobs_flag_deterministic(capsys, q27_file):

@@ -17,6 +17,7 @@ from gbent import (
     sqrt_p_power,
 )
 from gbent.cyclotomic import _context
+from gbent.transform import _counts_to_cycint
 
 X = sympy.Symbol("x")
 
@@ -190,3 +191,17 @@ def test_text_format_example():
     value = root(108, 0) - root(108, 27)
     assert str(value) == "(mod 108) 1 - z^27"
     assert parse_cycint("(mod 108) 1 - z^27") == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(12, 1), (12, 4), (36, 4), (84, 4), (84, 12), (100, 5), (108, 1)]), st.data())
+def test_counts_to_cycint_matches_sympy(case, data):
+    # slot e of the counts stands for zeta_M^(e step), as the spectrum engine
+    # reads a Z[Z_q] element with step = M / q
+    modulus, step = case
+    size = modulus // step
+    counts = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    poly = [0] * modulus
+    for e, c in enumerate(counts):
+        poly[e * step] = c
+    assert _counts_to_cycint(modulus, counts, step).coeffs == sympy_reduce(modulus, poly)

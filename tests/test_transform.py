@@ -2,6 +2,8 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbent import (
     CycInt,
@@ -19,10 +21,15 @@ from gbent import (
     root,
     spectrum_records,
     wht_composed,
+    wht_fast,
     wht_naive,
     wht_pary_fast,
 )
-from conftest import rank_vector, random_pary, random_tuple
+from gbent.transform import _slot_bytes
+from conftest import rank_vector, random_gbfunction, random_pary, random_tuple
+
+# Targets with several prime factors, even ones included.
+GENERAL_Q = (6, 12, 18, 24, 15, 21, 105)
 
 
 def zeta_q(modulus, q, e):
@@ -77,6 +84,53 @@ def test_fast_modulus_embedding(rng):
     large = wht_pary_fast(g, modulus=108)
     for a, b in zip(small.values, large.values):
         assert a.promote(108) == b
+
+
+@st.composite
+def engine_inputs(draw):
+    """A function Z_p^n -> Z_q: random (almost never gbent) or constant."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from((p, p**2, p**3) + tuple(q for q in GENERAL_Q if q % p == 0)))
+    if draw(st.booleans()):
+        return GBFunction(p, n, q, (draw(st.integers(0, q - 1)),) * p**n)
+    return random_gbfunction(random.Random(draw(st.integers(0, 2**32))), p, n, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_inputs())
+def test_engine_equals_naive_oracle(f):
+    fast = wht_fast(f)
+    assert (fast.q, fast.modulus) == (f.q, lcm(4, f.q))
+    assert fast.values == wht_naive(f).values
+
+
+@pytest.mark.parametrize("q", [3, 6, 27, 105])
+def test_engine_full_slot(q):
+    # 3^5 = 243 points fill a one-byte slot to 243 of 255: a constant table
+    # puts every point's count into one slot at u = 0
+    f = GBFunction(3, 5, q, (q - 1,) * 243)
+    assert _slot_bytes(243) == 1 and _slot_bytes(256) == 2
+    fast = wht_fast(f)
+    assert fast.values[0] == 243 * root(fast.modulus, (q - 1) * (fast.modulus // q))
+    assert all(v.is_zero() for v in fast.values[1:])
+    assert fast.values == wht_naive(f).values
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 3), st.integers(2, 5), st.integers(0, 2**32))
+def test_fast_pary_larger_modulus(p, n, multiple, seed):
+    g = random_pary(random.Random(seed), p, n)
+    modulus = multiple * lcm(4, p)
+    fast = wht_pary_fast(g, modulus)
+    assert fast.modulus == modulus
+    naive = wht_naive(g.as_gbfunction())
+    assert fast.values == tuple(v.promote(modulus) for v in naive.values)
+
+
+def test_fast_pary_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        wht_pary_fast(PAryFunction(3, 1, (0, 1, 2)), 18)
 
 
 def test_inverse_round_trip(rng):
@@ -183,7 +237,8 @@ def test_composed_k1_is_single_spectrum(rng):
 
 
 def test_composed_equals_naive_oracle(rng):
-    cases = [(3, 2, 9, 2), (3, 2, 27, 3), (3, 2, 21, 3), (5, 2, 25, 2), (3, 2, 15, 3)]
+    cases = [(3, 2, 9, 2), (3, 2, 27, 3), (3, 2, 21, 3), (5, 2, 25, 2), (3, 2, 15, 3),
+             (3, 2, 6, 2), (3, 2, 12, 3), (3, 2, 24, 3)]
     for p, n, q, k in cases:
         for _ in range(4):
             t = random_tuple(rng, p, n, q, k)
