@@ -91,8 +91,13 @@ def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
         spectrum = wht_fast(f)
     target = CycInt.integer(spectrum.modulus, f.p**f.n)
     points = all_points(f.p, f.n)
+    # A gbent spectrum takes at most 4q distinct values: test each once.
+    verdicts: dict[CycInt, bool] = {}
+    for v in spectrum.values:
+        if v not in verdicts:
+            verdicts[v] = v.norm_sq() == target
     failures = tuple(
-        points[u] for u, v in enumerate(spectrum.values) if v.norm_sq() != target
+        points[u] for u, v in enumerate(spectrum.values) if not verdicts[v]
     )
     return GbentReport(not failures, failures, spectrum)
 
@@ -224,26 +229,38 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
             return None
         v.append((hit[1] - j) % p)
     v = tuple(v)
-    for rank in range(size):
-        a = _rank_vector(p, km1, rank)
-        exponent = (j + sum(ai * vi for ai, vi in zip(a, v))) % p
-        hit = candidates.get(values[rank])
-        if hit != (alpha, exponent):
+    row = _vector_rank(p, v)
+    for value, exponent in zip(values, _hadamard_exponents(p, km1)[row]):
+        if candidates.get(value) != (alpha, (j + exponent) % p):
             return None
-    return RowDecomp(alpha, j, v, _vector_rank(p, v))
+    return RowDecomp(alpha, j, v, row)
+
+
+@lru_cache(maxsize=16)
+def _hadamard_exponents(p: int, km1: int) -> tuple[tuple[int, ...], ...]:
+    """[row][column] -> v.a mod p: the exponents of H_p tensor ... tensor H_p.
+
+    km1 factors, big-endian: appending a digit to both row and column
+    multiplies their ranks by p and adds the product of the new digits.
+    """
+    table = ((0,),)
+    for _ in range(km1):
+        table = tuple(
+            tuple((e + vd * ad) % p for e in old for ad in range(p))
+            for old in table
+            for vd in range(p)
+        )
+    return table
 
 
 def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tuple[CycInt, ...]:
     """Row `row` of H_p tensor ... tensor H_p (k-1 factors), big-endian."""
+    if not 0 <= row < p ** (k - 1):
+        raise ValueError(f"row {row} out of range for H_{p}^(tensor {k - 1})")
     if modulus is None:
         modulus = lcm(4, p)
-    v = _rank_vector(p, k - 1, row)
-    out = []
-    for rank in range(p ** (k - 1)):
-        a = _rank_vector(p, k - 1, rank)
-        e = sum(ai * vi for ai, vi in zip(a, v)) % p
-        out.append(root(modulus, e * (modulus // p)))
-    return tuple(out)
+    step = modulus // p
+    return tuple(root(modulus, e * step) for e in _hadamard_exponents(p, k - 1)[row])
 
 
 def _component_vectors(t: ComponentTuple) -> list[tuple[CycInt, ...]]:

@@ -12,9 +12,13 @@ Z[zeta_M] with M = lcm(4, q): it contains zeta_q, zeta_p for any p | q,
 sqrt(-1) = zeta_4, and sqrt(p) through quadratic Gauss sums.
 
 Phi_M is computed once per modulus by the Moebius product
-Phi_M(x) = prod_{d|M} (x^d - 1)^{mu(M/d)} via exact polynomial division,
-and a table of the canonical forms of zeta_M^0 .. zeta_M^(M-1) is cached
-alongside it. All values are immutable; the per-modulus cache is
+Phi_M(x) = prod_{d|M} (x^d - 1)^{mu(M/d)} via exact polynomial division.
+Alongside it is cached, for each power zeta_M^0 .. zeta_M^(M-1), only the
+nonzero (index, coefficient) pairs of its canonical form. A power of zeta_M
+reduces to a few basis terms (on average 1.3 at M = 108, 2.7 at M = 84 and
+11 at M = 420, against phi(M) = 36, 24 and 96), so multiplication,
+conjugation, embedding and parsing reduce each exponent by reading a short
+sparse row. All values are immutable; the per-modulus cache is
 initialize-once, read-many.
 """
 
@@ -110,36 +114,44 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-modulus tables: Phi_M and canonical forms of every power of zeta_M.
+    """Per-modulus tables: Phi_M and the sparse canonical form of each power.
 
-    sparse_powers[e] lists the nonzero (index, coefficient) pairs of
-    power_table[e]; there are few, since a power of zeta_M reduces to a
-    handful of basis terms.
+    sparse_powers[e] lists the nonzero (index, coefficient) pairs of the
+    canonical form of zeta_M^e, for 0 <= e < M. Any exponent reduces
+    through sparse_powers[e % M].
     """
 
-    __slots__ = ("modulus", "degree", "phi", "power_table", "sparse_powers")
+    __slots__ = ("modulus", "degree", "phi", "sparse_powers")
 
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.phi = cyclotomic_polynomial(modulus)
         self.degree = len(self.phi) - 1
         tail = self.phi[:-1]  # x^degree = -tail in the quotient ring
-        table = []
+        rows = []
         cur = [0] * self.degree
         cur[0] = 1
         for _ in range(modulus):
-            table.append(tuple(cur))
+            rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
             spill = cur[-1]
             cur = [0] + cur[:-1]
             if spill:
                 for i, t in enumerate(tail):
                     cur[i] -= spill * t
-        if tuple(cur) != table[0]:
+        if cur != [1] + [0] * (self.degree - 1):
             raise InternalConsistencyError("zeta^M did not reduce to 1")
-        self.power_table = tuple(table)
-        self.sparse_powers = tuple(
-            tuple((i, r) for i, r in enumerate(row) if r) for row in table
-        )
+        self.sparse_powers = tuple(rows)
+
+
+def _reduce_terms(ctx: _Context, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Canonical coefficients of sum c zeta_M^e over the (e, c) terms."""
+    sparse, modulus = ctx.sparse_powers, ctx.modulus
+    acc = [0] * ctx.degree
+    for e, c in terms:
+        if c:
+            for i, r in sparse[e % modulus]:
+                acc[i] += c * r
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -196,15 +208,9 @@ class CycInt:
             raise ModulusMismatchError(
                 f"cannot embed Z[zeta_{self.modulus}] into Z[zeta_{modulus}]"
             )
-        ctx = _context(modulus)
         step = modulus // self.modulus
-        acc = [0] * ctx.degree
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = ctx.power_table[(j * step) % modulus]
-                for i, r in enumerate(row):
-                    acc[i] += c * r
-        return CycInt(modulus, acc)
+        terms = ((j * step, c) for j, c in enumerate(self.coeffs))
+        return CycInt(modulus, _reduce_terms(_context(modulus), terms))
 
     def _pair(self, other) -> tuple["CycInt", "CycInt"]:
         if isinstance(other, int):
@@ -246,20 +252,21 @@ class CycInt:
         a, b = self._pair(other)
         ctx = _context(a.modulus)
         deg = ctx.degree
+        terms_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
         conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a.coeffs):
             if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in terms_b:
+                    conv[i + j] += ai * bj
         acc = conv[:deg]
+        sparse, modulus = ctx.sparse_powers, a.modulus
         for e in range(deg, len(conv)):
             c = conv[e]
             if c:
-                row = ctx.power_table[e % a.modulus]
-                for i, r in enumerate(row):
+                # Exponents up to 2 deg - 2 reach past M when M is prime.
+                for i, r in sparse[e % modulus]:
                     acc[i] += c * r
-        return CycInt(a.modulus, acc)
+        return CycInt(modulus, acc)
 
     __rmul__ = __mul__
 
@@ -277,14 +284,8 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation: the automorphism zeta_M -> zeta_M^(-1)."""
-        ctx = _context(self.modulus)
-        acc = [0] * ctx.degree
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = ctx.power_table[(self.modulus - j) % self.modulus]
-                for i, r in enumerate(row):
-                    acc[i] += c * r
-        return CycInt(self.modulus, acc)
+        terms = ((-j, c) for j, c in enumerate(self.coeffs))
+        return CycInt(self.modulus, _reduce_terms(_context(self.modulus), terms))
 
     def norm_sq(self) -> "CycInt":
         """z times conj(z); for a root of unity this is 1."""
@@ -365,9 +366,9 @@ def parse_cycint(text: str) -> CycInt:
         raise ValueError(f"not a cyclotomic integer literal: {text!r}")
     modulus = int(m.group(1))
     body = m.group(2).strip()
-    result = CycInt.zero(modulus)
     if body == "0":
-        return result
+        return CycInt.zero(modulus)
+    terms = []
     normalized = body.replace("- ", "-").replace("+ ", "+")
     for token in normalized.split():
         sign = 1
@@ -383,16 +384,15 @@ def parse_cycint(text: str) -> CycInt:
             exponent = int(tm.group(2)) if tm.group(2) else 1
         else:
             exponent = 0
-        result = result + sign * coeff * root(modulus, exponent)
-    return result
+        terms.append((exponent, sign * coeff))
+    return CycInt(modulus, _reduce_terms(_context(modulus), terms))
 
 
 def root(modulus: int, t: int) -> CycInt:
     """The canonical form of zeta_modulus^t; root(M, 0) is the identity."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    ctx = _context(modulus)
-    return CycInt(modulus, ctx.power_table[t % modulus])
+    return CycInt(modulus, _reduce_terms(_context(modulus), ((t, 1),)))
 
 
 def conj(z: CycInt) -> CycInt:

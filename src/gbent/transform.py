@@ -24,6 +24,14 @@ One engine computes every spectrum, and two independent paths check it:
                       the carry coefficients gamma_a and divided exactly by
                       p^(k-1). It equals wht_naive only if the identity holds.
 
+inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
+over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
+from its canonical coefficients and every slot raised by the largest
+coefficient magnitude B, so that all slots are nonnegative. The offset
+B sum_e zeta_M^e is fixed by every rotation and is 0 in Z[zeta_M], so it
+vanishes when the result is canonicalized; slots of 2^b > p^n 2B bits
+never carry. An exact division by p^n finishes the inverse.
+
 The gamma_a coefficient is the character-weighted sum of p^k-th roots of
 unity sum_v zeta_p^(-a.v) zeta_(p^k)^(sum_j v_j p^(k-1-j)); it converts
 between a radix-p digit expansion and its component spectra. A product
@@ -45,7 +53,7 @@ from math import lcm
 from operator import lshift
 from typing import Optional, Sequence
 
-from .cyclotomic import CycInt, _context
+from .cyclotomic import CycInt, _context, _reduce_terms
 from .errors import ExactDivisionError, InternalConsistencyError
 from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points, combine
 
@@ -82,19 +90,9 @@ def _dot_table(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _counts_to_cycint(modulus: int, counts: Sequence[int], step: int = 1) -> CycInt:
-    """Canonicalize sum_e counts[e] zeta_modulus^(e step).
-
-    Reads only the nonzero entries of each power's canonical form, which
-    are few: a power of zeta_M reduces to a handful of basis terms.
-    """
-    ctx = _context(modulus)
-    sparse = ctx.sparse_powers
-    acc = [0] * ctx.degree
-    for e, c in enumerate(counts):
-        if c:
-            for i, r in sparse[e * step]:
-                acc[i] += c * r
-    return CycInt(modulus, acc)
+    """Canonicalize sum_e counts[e] zeta_modulus^(e step), reading sparse rows."""
+    terms = zip(range(0, len(counts) * step, step), counts)
+    return CycInt(modulus, _reduce_terms(_context(modulus), terms))
 
 
 def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
@@ -127,34 +125,64 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
 _SLOT_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def _slot_bytes(size: int) -> int:
-    """The fewest bytes per slot that hold any count up to size = p^n."""
-    for nbytes in sorted(_SLOT_TYPECODES):
-        if size < 1 << (8 * nbytes):
-            return nbytes
-    raise ValueError(f"{size} points do not fit a group-ring slot")
+def _slot_bytes(bound: int) -> int:
+    """The fewest bytes per slot that hold any count up to bound.
 
-
-def _group_ring_spectrum(
-    p: int, n: int, q: int, table: Sequence[int]
-) -> tuple[list[int], int]:
-    """S(u) for every point u as a packed element of Z[Z_q], and the slot bytes.
-
-    Radix-p butterfly over Z[Z_q], one pass per coordinate, on packed ints:
-    slot e of an element, b = 8 * nbytes bits wide, counts zeta_q^e. Counts
-    are nonnegative and sum to at most p^n < 2^b, so no slot ever carries
-    into the next. The kernel zeta_p^(-t d) = zeta_q^((-t d mod p) q/p) is a
-    cyclic rotation of the q slots: shift left, then fold the bits above
-    the top slot back onto the bottom one. Output is in point-index order.
+    Rounded up to an array item size when one is wide enough, so that
+    packing and unpacking run through array.
     """
-    size = p**n
-    nbytes = _slot_bytes(size)
+    nbytes = max(1, -(-bound.bit_length() // 8))
+    return min((b for b in _SLOT_TYPECODES if b >= nbytes), default=nbytes)
+
+
+def _pack_slots(counts: Sequence[int], nbytes: int) -> int:
+    """Pack nonnegative slot counts, slot 0 lowest, nbytes bytes each."""
+    code = _SLOT_TYPECODES.get(nbytes)
+    if code is None:
+        return int.from_bytes(
+            b"".join(c.to_bytes(nbytes, "little") for c in counts), "little"
+        )
+    items = array(code, counts)
+    if sys.byteorder != "little":
+        items.byteswap()
+    return int.from_bytes(items.tobytes(), "little")
+
+
+def _slot_counts(packed: int, slots: int, nbytes: int) -> Sequence[int]:
+    """The slot counts of a packed element, slot 0 first."""
+    raw = packed.to_bytes(slots * nbytes, "little")
+    code = _SLOT_TYPECODES.get(nbytes)
+    if code is None:
+        return [
+            int.from_bytes(raw[i : i + nbytes], "little")
+            for i in range(0, len(raw), nbytes)
+        ]
+    # The slots are read little-endian; array items use the host byte order.
+    counts = array(code, raw)
+    if sys.byteorder != "little":
+        counts.byteswap()
+    return counts
+
+
+def _group_ring_butterfly(
+    p: int, slots: int, nbytes: int, vals: list[int], sign: int
+) -> list[int]:
+    """sum_y zeta_p^(sign x.y) vals[y] at every point x of Z_p^n, in place.
+
+    Radix-p butterfly, one pass per coordinate, on packed elements of the
+    group ring Z[Z_slots] (p | slots): slot e, b = 8 * nbytes bits wide,
+    counts zeta_slots^e. Callers keep every slot nonnegative and pick b so
+    that no output slot reaches 2^b, so no slot ever carries into the next.
+    The kernel zeta_p^(sign t d) = zeta_slots^((sign t d mod p) slots/p) is
+    a cyclic rotation of the slots: shift left, then fold the bits above
+    the top slot back onto the bottom one. Point-index order in and out.
+    """
+    size = len(vals)
     bits = 8 * nbytes
-    width = q * bits
+    width = slots * bits
     mask = (1 << width) - 1
-    unit = (q // p) * bits
-    kernel = [[((-t * d) % p) * unit for d in range(p)] for t in range(p)]
-    vals = [1 << (v * bits) for v in table]
+    unit = (slots // p) * bits
+    kernel = [[((sign * t * d) % p) * unit for d in range(p)] for t in range(p)]
     stride = 1
     while stride < size:
         span = stride * p
@@ -165,16 +193,22 @@ def _group_ring_spectrum(
                     acc = sum(map(lshift, olds, shifts))
                     vals[base + t * stride] = (acc & mask) + (acc >> width)
         stride = span
-    return vals, nbytes
+    return vals
 
 
-def _slot_counts(packed: int, q: int, nbytes: int) -> array:
-    """The q slot counts of a packed element, slot 0 first."""
-    # The slots are read little-endian; array items use the host byte order.
-    counts = array(_SLOT_TYPECODES[nbytes], packed.to_bytes(q * nbytes, "little"))
-    if sys.byteorder != "little":
-        counts.byteswap()
-    return counts
+def _group_ring_spectrum(
+    p: int, n: int, q: int, table: Sequence[int]
+) -> tuple[list[int], int]:
+    """S(u) for every point u as a packed element of Z[Z_q], and the slot bytes.
+
+    Point x contributes the single count zeta_q^(f(x)). Counts are
+    nonnegative and sum to p^n, so slots of the fewest bytes above p^n
+    never carry. Output is in point-index order.
+    """
+    nbytes = _slot_bytes(p**n)
+    bits = 8 * nbytes
+    vals = [1 << (v * bits) for v in table]
+    return _group_ring_butterfly(p, q, nbytes, vals, -1), nbytes
 
 
 def _fast_spectrum(
@@ -223,24 +257,27 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
 def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
     """Recover the values zeta_q^(f(x)) from a spectrum, exactly.
 
-    Computes (1/p^n) sum_u zeta_p^(u.x) S(u) by exact division; a division
-    failure means the input was not the spectrum of a Z_q-valued function.
+    Computes (1/p^n) sum_u zeta_p^(u.x) S(u) on the engine's butterfly,
+    over the M = s.modulus slots of Z[Z_M], kernel zeta_p^(+t d). Each S(u)
+    is lifted slot for slot from its canonical coefficients, and every
+    slot is raised by B, the largest coefficient magnitude, so that all
+    slots are nonnegative. The offset vanishes: B sum_e zeta_M^e is fixed
+    by every rotation and is 0 in Z[zeta_M], so p^n of it cancel in the
+    canonical form. Output slots lie in [0, p^n 2B], which fixes the slot
+    width. The exact division by p^n fails (ExactDivisionError) when the
+    input is not the spectrum of a Z_q-valued function.
     """
     p, n, modulus = s.p, s.n, s.modulus
     size = p**n
-    step_p = modulus // p
-    dots = _dot_table(p, n)
-    ctx = _context(modulus)
+    bound = max((abs(c) for v in s.values for c in v.coeffs), default=0)
+    nbytes = _slot_bytes(size * 2 * bound)
+    pad = [bound] * (modulus - _context(modulus).degree)
+    vals = [
+        _pack_slots([c + bound for c in v.coeffs] + pad, nbytes) for v in s.values
+    ]
     out = []
-    for x in range(size):
-        counts = [0] * modulus
-        for u in range(size):
-            shift = (dots[u][x] * step_p) % modulus
-            coeffs = s.values[u].coeffs
-            for j, c in enumerate(coeffs):
-                if c:
-                    counts[(j + shift) % modulus] += c
-        total = _counts_to_cycint(modulus, counts)
+    for v in _group_ring_butterfly(p, modulus, nbytes, vals, 1):
+        total = _counts_to_cycint(modulus, _slot_counts(v, modulus, nbytes))
         out.append(total.divide_exact(size))
     return tuple(out)
 

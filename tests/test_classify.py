@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from gbent import (
@@ -25,7 +27,7 @@ from gbent import (
     wht_naive,
 )
 from gbent.classify import alpha_element
-from conftest import random_tuple
+from conftest import rank_vector, random_tuple
 
 
 def pary_from(p, n, fn):
@@ -51,6 +53,8 @@ def test_is_gbent_zero_function_fails_at_origin():
     rep = is_gbent(GBFunction(3, 2, 3, (0,) * 9))
     assert not rep
     assert rep.failures[0] == (0, 0)
+    # S(0) = 9 and S(u) = 0 elsewhere: every point fails, in point order.
+    assert rep.failures == all_points(3, 2)
 
 
 def test_is_gbent_example_q27(tuple_q27):
@@ -211,6 +215,21 @@ def test_row_decomp_matches_explicit_row():
                 d = row_decomp(vec, 3, 4)
                 assert d is not None
                 assert (d.alpha, d.j, d.row) == (alpha, j, r)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 3), (3, 4), (5, 3), (7, 2)])
+def test_hadamard_row_matches_definition(p, k):
+    modulus = lcm(4, p)
+    for r in range(p ** (k - 1)):
+        v = rank_vector(p, k - 1, r)
+        expected = tuple(
+            root(modulus, (sum(x * y for x, y in zip(rank_vector(p, k - 1, c), v)) % p) * (modulus // p))
+            for c in range(p ** (k - 1))
+        )
+        assert hadamard_row(p, k, r) == expected
+    for bad in (-1, p ** (k - 1)):
+        with pytest.raises(ValueError):
+            hadamard_row(p, k, bad)
 
 
 def test_row_decomp_rejects_non_row():

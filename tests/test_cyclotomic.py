@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -126,7 +128,7 @@ coeff_vectors = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
-def elements(draw, moduli=(3, 4, 9, 12, 36)):
+def elements(draw, moduli=(3, 4, 5, 7, 9, 11, 12, 36, 84)):
     modulus = draw(st.sampled_from(moduli))
     degree = _context(modulus).degree
     coeffs = draw(st.lists(coeff_vectors, min_size=degree, max_size=degree))
@@ -185,6 +187,30 @@ def test_promotion_is_ring_embedding(a, b):
 @given(elements())
 def test_text_round_trip(a):
     assert parse_cycint(str(a)) == a
+
+
+@pytest.mark.parametrize("modulus,p,small", [(196, 7, 49), (500, 5, 125)])
+def test_sparse_operations_match_sympy(modulus, p, small):
+    rng = random.Random(modulus)
+    a = CycInt(small, [rng.randrange(-9, 10) for _ in range(_context(small).degree)])
+    step = modulus // small
+    poly = [0] * modulus
+    for j, c in enumerate(a.coeffs):
+        poly[j * step] = c
+    assert promote(a, modulus).coeffs == sympy_reduce(modulus, poly)
+
+    b = CycInt(modulus, [rng.randrange(-9, 10) for _ in range(_context(modulus).degree)])
+    poly = [0] * modulus
+    for j, c in enumerate(b.coeffs):
+        poly[-j % modulus] = c
+    assert b.conj().coeffs == sympy_reduce(modulus, poly)
+
+    g = gauss_sqrt(p, modulus)
+    for t in (1, modulus // 4, modulus - 1):
+        poly = [0] * (2 * modulus)
+        for j, c in enumerate(g.coeffs):
+            poly[j + t] = c
+        assert (root(modulus, t) * g).coeffs == sympy_reduce(modulus, poly)
 
 
 def test_text_format_example():

@@ -134,13 +134,35 @@ def test_fast_pary_rejects_bad_modulus():
 
 
 def test_inverse_round_trip(rng):
-    for q in (9, 21):
-        for _ in range(5):
-            f = GBFunction(3, 2, q, tuple(rng.randrange(q) for _ in range(9)))
-            s = wht_naive(f)
-            recovered = inverse_wht(s)
-            for x in range(9):
-                assert recovered[x] == zeta_q(s.modulus, q, f.table[x])
+    # The spectra come from the oracle: a sign slip shared by the engine's
+    # two directions would survive a round trip through wht_fast.
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for q in sorted({p, p * p, 12, 24, 21, 105}):
+                if q % p:
+                    continue
+                f = random_gbfunction(rng, p, n, q)
+                s = wht_naive(f)
+                expected = tuple(zeta_q(s.modulus, q, v) for v in f.table)
+                assert inverse_wht(s) == expected
+                # Coefficients past 2^64 need slots wider than any array item.
+                c = 2**70 + 1
+                scaled = Spectrum(p, n, q, s.modulus, tuple(c * v for v in s.values))
+                assert inverse_wht(scaled) == tuple(c * v for v in expected)
+
+
+def test_inverse_rejects_perturbed_dense_spectrum(rng):
+    # At q = 24 = M a spectral value can fill the whole power basis.
+    f = random_gbfunction(rng, 3, 3, 24)
+    s = wht_naive(f)
+    u = max(range(len(s.values)), key=lambda u: sum(map(bool, s.values[u].coeffs)))
+    coeffs = list(s.values[u].coeffs)
+    assert sum(map(bool, coeffs)) > len(coeffs) // 2
+    coeffs[len(coeffs) // 2] += 1
+    values = list(s.values)
+    values[u] = CycInt(s.modulus, coeffs)
+    with pytest.raises(ExactDivisionError):
+        inverse_wht(Spectrum(3, 3, 24, s.modulus, tuple(values)))
 
 
 def test_inverse_of_point_mass():
