@@ -5,7 +5,6 @@ from .cyclotomic import (
     conj,
     cyclotomic_polynomial,
     gauss_sqrt,
-    match_candidate,
     norm_sq,
     parse_cycint,
     promote,
@@ -24,6 +23,7 @@ from .gbfunc import (
     GBFunction,
     PAryFunction,
     all_points,
+    combination_tables,
     combine,
     compose,
     digits,
@@ -39,7 +39,6 @@ from .transform import (
     Spectrum,
     gamma_general,
     gamma_product,
-    gamma_sum,
     gamma_table,
     inverse_wht,
     spectrum_records,

@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, all_points, combine, compose
-from .transform import Spectrum, _rank_vector, _vector_rank, wht_fast, wht_pary_fast
+from .gbfunc import ComponentTuple, GBFunction, all_points, combination_tables, compose
+from .transform import Spectrum, _fast_spectrum, wht_fast
 
 ALPHAS = ("+1", "-1", "+i", "-i")
 _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -222,18 +222,19 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
         return None
     alpha, j = head
     v = []
+    row = 0
     for t in range(km1):
         # Unit vector e_(t+1) has big-endian rank p^(k-2-t).
         hit = candidates.get(values[p ** (km1 - 1 - t)])
         if hit is None or hit[0] != alpha:
             return None
-        v.append((hit[1] - j) % p)
-    v = tuple(v)
-    row = _vector_rank(p, v)
+        digit = (hit[1] - j) % p
+        v.append(digit)
+        row = row * p + digit
     for value, exponent in zip(values, _hadamard_exponents(p, km1)[row]):
         if candidates.get(value) != (alpha, (j + exponent) % p):
             return None
-    return RowDecomp(alpha, j, v, row)
+    return RowDecomp(alpha, j, tuple(v), row)
 
 
 @lru_cache(maxsize=16)
@@ -265,11 +266,11 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
 
 def _component_vectors(t: ComponentTuple) -> list[tuple[CycInt, ...]]:
     """Per-point vectors of combination spectra, indexed [u][rank of a]."""
-    p = t.p
+    p, n = t.p, t.n
     modulus = lcm(4, p)
     per_combination = [
-        wht_pary_fast(combine(t, _rank_vector(p, t.k - 1, rank)), modulus).values
-        for rank in range(p ** (t.k - 1))
+        _fast_spectrum(p, n, p, table, modulus).values
+        for table in combination_tables(t)
     ]
     return list(zip(*per_combination))
 
@@ -328,7 +329,7 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     Returns None otherwise; failure does not imply the function is not
     gbent (the row condition is sufficient, not necessary, for general q).
     """
-    p, k, q = t.p, t.k, t.q
+    p, q = t.p, t.q
     size = p**t.n
     decomps = component_row_table(t)
     if any(d is None for d in decomps):
@@ -337,12 +338,8 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     if len(alphas) != 1:
         return None
     alpha = alphas.pop()
-    dual_table = []
-    for d in decomps:
-        value = (q // p) * d.j + sum(
-            vi * p ** (k - 1 - i) for i, vi in enumerate(d.v, start=1)
-        )
-        dual_table.append(value % q)
+    # f*(u) = (q/p) j + sum_i v_i p^(k-1-i), and that sum is the row index.
+    dual_table = [((q // p) * d.j + d.row) % q for d in decomps]
     dual = GBFunction(p, t.n, q, tuple(dual_table))
     spectrum = wht_fast(compose(t))
     scale = sqrt_p_power(p, t.n, spectrum.modulus)

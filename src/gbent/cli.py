@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .classify import RowDecomp, component_row_table, is_gbent, regularity
 from .errors import FunctionFormatError
 from .gbfunc import (
+    ComponentTuple,
     FunctionDoc,
     all_points,
     digits,
@@ -174,30 +175,15 @@ def _load_golden_rows(name: str, golden_dir: Optional[str]):
     return rows
 
 
-def _reverse_row_label(p: int, k: int, row: int) -> int:
-    """Reverse the base-p digits of a row index of H_p^(tensor k-1)."""
-    digits_ = []
-    for _ in range(k - 1):
-        digits_.append(row % p)
-        row //= p
-    out = 0
-    for d in digits_:
-        out = out * p + d
-    return out
-
-
-def compare_reference_tables(name: str, golden_dir: Optional[str] = None):
-    """Recompute one bundled table and diff against its golden rows.
-
-    Returns (mismatches, labeling): mismatches is a list of
-    (u, expected, computed); labeling is "identity" or "digit-reversed",
-    whichever matches (identity preferred; a single global row relabeling
-    is the only tolerated difference).
-    """
+def _reference_rows(name: str, golden_dir: Optional[str]):
+    """One bundled example's tuple, its computed row table and its golden rows."""
     _, make_spec = _REFERENCE_TABLES[name]
     t = build_maiorana(make_spec())
-    decomps = component_row_table(t)
-    golden = _load_golden_rows(name, golden_dir)
+    return t, component_row_table(t), _load_golden_rows(name, golden_dir)
+
+
+def _diff_rows(t: ComponentTuple, decomps, golden):
+    """(mismatches, labeling) of a computed row table against golden rows."""
 
     def diff(relabel):
         out = []
@@ -214,10 +200,21 @@ def compare_reference_tables(name: str, golden_dir: Optional[str] = None):
     identity = diff(lambda r: r)
     if not identity:
         return [], "identity"
-    reversed_ = diff(lambda r: _reverse_row_label(t.p, t.k, r))
+    reversed_ = diff(lambda r: point_index(t.p, index_point(t.p, t.k - 1, r)[::-1]))
     if not reversed_:
         return [], "digit-reversed"
     return identity, "identity"
+
+
+def compare_reference_tables(name: str, golden_dir: Optional[str] = None):
+    """Recompute one bundled table and diff against its golden rows.
+
+    Returns (mismatches, labeling): mismatches is a list of
+    (u, expected, computed); labeling is "identity" or "digit-reversed",
+    whichever matches (identity preferred; a single global row relabeling
+    is the only tolerated difference).
+    """
+    return _diff_rows(*_reference_rows(name, golden_dir))
 
 
 def cmd_tables(args) -> int:
@@ -225,11 +222,8 @@ def cmd_tables(args) -> int:
     any_mismatch = False
     try:
         for name in ("q27", "q21"):
-            _, make_spec = _REFERENCE_TABLES[name]
-            spec = make_spec()
-            t = build_maiorana(spec)
-            decomps = component_row_table(t)
-            mismatches, labeling = compare_reference_tables(name, args.golden)
+            t, decomps, golden = _reference_rows(name, args.golden)
+            mismatches, labeling = _diff_rows(t, decomps, golden)
             undecomposed = sum(1 for d in decomps if d is None)
             # Reference-table order: the first coordinate varies fastest.
             points = [
@@ -237,7 +231,7 @@ def cmd_tables(args) -> int:
             ]
             if args.format == "text":
                 lines.append(
-                    f"table {name}: p={spec.p} n={spec.n} q={spec.q}, "
+                    f"table {name}: p={t.p} n={t.n} q={t.q}, "
                     f"component vectors as alpha * z3^j * H9[r]"
                 )
                 for u in points:
@@ -256,7 +250,7 @@ def cmd_tables(args) -> int:
                         f"{name}\t{','.join(str(v) for v in u)}\t{alpha}\t{j}\t{r}"
                     )
             summary = (
-                f"table {name}: {len(_load_golden_rows(name, args.golden))} golden rows, "
+                f"table {name}: {len(golden)} golden rows, "
                 f"{len(mismatches)} mismatches, {undecomposed} undecomposed points "
                 f"(row labeling: {labeling})"
             )
@@ -374,12 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False, seed=False):
+    def add_common(p, fmt=True, jobs=False, seed=False):
         p.add_argument("--output", help="write output to this path instead of stdout")
-        p.add_argument(
-            "--format", choices=("text", "delimited"), default="text",
-            help="output layout (default text)",
-        )
+        if fmt:
+            p.add_argument(
+                "--format", choices=("text", "delimited"), default="text",
+                help="output layout (default text)",
+            )
         if jobs:
             p.add_argument(
                 "--jobs", type=_positive_int, default=1,
@@ -415,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, help="target ring (defaults to p)")
-    add_common(p)
+    add_common(p, fmt=False)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suites")
-    add_common(p, seed=True)
+    add_common(p, fmt=False, seed=True)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -445,20 +445,3 @@ def sqrt_p_power(p: int, n: int, modulus: int) -> CycInt:
     if n % 2 == 0:
         return CycInt.integer(modulus, p ** (n // 2))
     return p ** ((n - 1) // 2) * gauss_sqrt(p, modulus)
-
-
-def match_candidate(z: CycInt, candidates: Sequence[CycInt]) -> Optional[int]:
-    """Index of the unique candidate equal to z, or None.
-
-    Candidate sets are constructed pairwise distinct; two hits therefore
-    indicate a bug and raise InternalConsistencyError.
-    """
-    found = None
-    for i, cand in enumerate(candidates):
-        if cand == z:
-            if found is not None:
-                raise InternalConsistencyError(
-                    f"candidates {found} and {i} both match {z}"
-                )
-            found = i
-    return found

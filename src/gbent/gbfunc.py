@@ -96,9 +96,6 @@ class GBFunction:
     def is_prime_power(self) -> bool:
         return self.q == self.p**self.k
 
-    def value_at(self, x: Sequence[int]) -> int:
-        return self.table[point_index(self.p, x)]
-
 
 @dataclass(frozen=True)
 class PAryFunction:
@@ -200,6 +197,25 @@ def combine(t: ComponentTuple, a: Sequence[int]) -> PAryFunction:
         v = f0[x] + sum(ai * c.table[x] for ai, c in zip(a, t.components[1:]))
         table.append(v % t.p)
     return PAryFunction(t.p, t.n, tuple(table))
+
+
+def combination_tables(t: ComponentTuple) -> tuple[tuple[int, ...], ...]:
+    """The tables of f_0 + sum_i a_i f_i mod p for every a in Z_p^(k-1).
+
+    Ordered by the big-endian rank of a, as point_index ranks points: each
+    component f_i extends every table built so far by its p multiples, so
+    rank r becomes r p + a_i. Entry r is the table that combine builds for
+    a = index_point(p, k-1, r).
+    """
+    p = t.p
+    tables = [t.components[0].table]
+    for component in t.components[1:]:
+        tables = [
+            tuple((v + ai * c) % p for v, c in zip(table, component.table))
+            for table in tables
+            for ai in range(p)
+        ]
+    return tuple(tables)
 
 
 # -- function file format -----------------------------------------------------

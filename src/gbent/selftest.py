@@ -12,16 +12,15 @@ from math import lcm
 from typing import Callable
 
 from .cyclotomic import CycInt, gauss_sqrt, root
-from .gbfunc import ComponentTuple, GBFunction, PAryFunction, compose
+from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points, compose
 from .transform import (
+    gamma_general,
     gamma_product,
-    gamma_sum,
     inverse_wht,
     wht_composed,
     wht_fast,
     wht_naive,
     wht_pary_fast,
-    _rank_vector,
 )
 
 
@@ -75,10 +74,10 @@ def check_digit_delta_identity() -> None:
 
 
 def check_carry_sum_product() -> None:
+    # The defining sum (gamma_general at q = p^k) against the product form.
     for p, k in ((3, 2), (3, 3), (5, 2), (5, 3)):
-        for rank in range(p ** (k - 1)):
-            a = _rank_vector(p, k - 1, rank)
-            assert gamma_sum(p, k, a) == gamma_product(p, k, a), (p, k, a)
+        for a in all_points(p, k - 1):
+            assert gamma_general(p, k, p**k, a) == gamma_product(p, k, a), (p, k, a)
 
 
 def check_root_reconstruction() -> None:
@@ -88,12 +87,8 @@ def check_root_reconstruction() -> None:
         modulus = lcm(4, p**k)
         step_p = modulus // p
         step_pk = modulus // p**k
-        gammas = {
-            _rank_vector(p, k - 1, r): gamma_product(p, k, _rank_vector(p, k - 1, r), modulus)
-            for r in range(p ** (k - 1))
-        }
-        for e in range(p ** (k - 1)):
-            u = _rank_vector(p, k - 1, e)
+        gammas = {a: gamma_product(p, k, a, modulus) for a in all_points(p, k - 1)}
+        for e, u in enumerate(all_points(p, k - 1)):
             acc = CycInt.zero(modulus)
             for a, gamma in gammas.items():
                 dot = sum(ai * ui for ai, ui in zip(a, u)) % p

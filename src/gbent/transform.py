@@ -55,7 +55,13 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, _context, _reduce_terms
 from .errors import ExactDivisionError, InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points, combine
+from .gbfunc import (
+    ComponentTuple,
+    GBFunction,
+    PAryFunction,
+    all_points,
+    combination_tables,
+)
 
 
 @dataclass(frozen=True)
@@ -282,22 +288,6 @@ def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
     return tuple(out)
 
 
-def _vector_rank(p: int, v: Sequence[int]) -> int:
-    """Big-endian rank of a digit vector (v_1 most significant)."""
-    r = 0
-    for vi in v:
-        r = r * p + vi
-    return r
-
-
-def _rank_vector(p: int, length: int, rank: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(rank % p)
-        rank //= p
-    return tuple(reversed(out))
-
-
 def _check_gamma_params(p: int, k: int, a: Sequence[int]) -> tuple[int, ...]:
     a = tuple(a)
     if k < 1:
@@ -310,22 +300,6 @@ def _check_gamma_params(p: int, k: int, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def gamma_sum(p: int, k: int, a: Sequence[int], modulus: Optional[int] = None) -> CycInt:
-    """gamma_a by its defining sum over v in Z_p^(k-1)."""
-    a = _check_gamma_params(p, k, a)
-    if modulus is None:
-        modulus = lcm(4, p**k)
-    step_p = modulus // p
-    step_pk = modulus // p**k
-    counts = [0] * modulus
-    for rank in range(p ** (k - 1)):
-        v = _rank_vector(p, k - 1, rank)
-        dot = sum(ai * vi for ai, vi in zip(a, v)) % p
-        e = ((-dot) % p) * step_p + rank * step_pk
-        counts[e % modulus] += 1
-    return _counts_to_cycint(modulus, counts)
-
-
 def gamma_product(
     p: int, k: int, a: Sequence[int], modulus: Optional[int] = None
 ) -> CycInt:
@@ -333,7 +307,7 @@ def gamma_product(
 
     Factor i is sum_(l in Z_p) zeta_p^(l a_i) zeta_(p^(i+1))^((p-l) mod p);
     substituting v_i = (p-l) mod p recovers exactly the defining sum, which
-    the test suite certifies by comparing against gamma_sum.
+    the test suite certifies by comparing against gamma_general at q = p^k.
     """
     a = _check_gamma_params(p, k, a)
     if modulus is None:
@@ -353,9 +327,11 @@ def gamma_product(
 def gamma_general(
     p: int, k: int, q: int, a: Sequence[int], modulus: Optional[int] = None
 ) -> CycInt:
-    """The zeta_q analogue of gamma_a for a target ring Z_q, p | q <= p^k.
+    """gamma_a by its defining sum over v in Z_p^(k-1), with zeta_q in place
+    of zeta_(p^k) for a target ring Z_q, p | q <= p^k.
 
-    Coincides with gamma_sum at the prime-power boundary q = p^k.
+    The exponent sum_j v_j p^(k-1-j) is the big-endian rank of v. At the
+    prime-power boundary q = p^k this is the defining sum of gamma_a itself.
     """
     a = _check_gamma_params(p, k, a)
     if q % p != 0 or not (p ** (k - 1) < q <= p**k):
@@ -365,18 +341,17 @@ def gamma_general(
     step_p = modulus // p
     step_q = modulus // q
     counts = [0] * modulus
-    for rank in range(p ** (k - 1)):
-        v = _rank_vector(p, k - 1, rank)
+    for rank, v in enumerate(all_points(p, k - 1)):
         dot = sum(ai * vi for ai, vi in zip(a, v)) % p
-        e_digit = sum(vi * p ** (k - 1 - j) for j, vi in enumerate(v, start=1))
-        e = ((-dot) % p) * step_p + (e_digit % q) * step_q
+        e = ((-dot) % p) * step_p + (rank % q) * step_q
         counts[e % modulus] += 1
     return _counts_to_cycint(modulus, counts)
 
 
 @dataclass(frozen=True)
 class GammaTable:
-    """All gamma coefficients for fixed (p, k, q), keyed by the vector a."""
+    """All gamma coefficients for fixed (p, k, q), keyed by the vector a in
+    big-endian rank order."""
 
     p: int
     k: int
@@ -390,13 +365,12 @@ def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaT
     if modulus is None:
         modulus = lcm(4, q)
     prime_power = q == p**k
-    entries = {}
-    for rank in range(p ** (k - 1)):
-        a = _rank_vector(p, k - 1, rank)
-        if prime_power:
-            entries[a] = gamma_product(p, k, a, modulus)
-        else:
-            entries[a] = gamma_general(p, k, q, a, modulus)
+    entries = {
+        a: gamma_product(p, k, a, modulus)
+        if prime_power
+        else gamma_general(p, k, q, a, modulus)
+        for a in all_points(p, k - 1)
+    }
     return GammaTable(p, k, q, modulus, entries)
 
 
@@ -404,7 +378,9 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     """Spectrum of compose(t) assembled from its digit-combination spectra.
 
     S_f(u) = (1/p^(k-1)) sum_a S_(f_0 + sum a_i f_i)(u) gamma_a, with the
-    gamma table shared across all u. Equal entrywise to wht_naive(compose(t)).
+    gamma table shared across all u. The combination tables and the gamma
+    entries are both in big-endian rank order of a, so they pair by position.
+    Equal entrywise to wht_naive(compose(t)).
     """
     p, k, q = t.p, t.k, t.q
     modulus = lcm(4, q)
@@ -414,11 +390,10 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     divisor = p ** (k - 1)
     # Per combination: digit-count rows plus the sparse exponent form of gamma.
     parts = []
-    for rank in range(divisor):
-        a = _rank_vector(p, k - 1, rank)
-        packed, nbytes = _group_ring_spectrum(p, t.n, p, combine(t, a).table)
+    for table, gamma in zip(combination_tables(t), gammas.entries.values()):
+        packed, nbytes = _group_ring_spectrum(p, t.n, p, table)
         digit_rows = [_slot_counts(v, p, nbytes) for v in packed]
-        gamma_terms = [(j, gc) for j, gc in enumerate(gammas.entries[a].coeffs) if gc]
+        gamma_terms = [(j, gc) for j, gc in enumerate(gamma.coeffs) if gc]
         parts.append((digit_rows, gamma_terms))
     values = []
     for u in range(size):
@@ -450,9 +425,14 @@ def spectrum_records(s: Spectrum) -> list[tuple[tuple[int, ...], str, str]]:
     the canonical polynomial text.
     """
     points = all_points(s.p, s.n)
+    # Spectral values repeat: render each distinct value and its norm once.
+    texts: dict[CycInt, tuple[str, str]] = {}
     out = []
     for u, val in enumerate(s.values):
-        norm = val.norm_sq()
-        text = str(norm.as_int()) if norm.is_rational_integer() else str(norm)
-        out.append((points[u], str(val), text))
+        pair = texts.get(val)
+        if pair is None:
+            norm = val.norm_sq()
+            norm_text = str(norm.as_int()) if norm.is_rational_integer() else str(norm)
+            pair = texts[val] = (str(val), norm_text)
+        out.append((points[u], *pair))
     return out

@@ -184,6 +184,17 @@ def test_selftest_passes(capsys):
     assert "12/12 suites passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [("selftest", "--seed", "0"), ("enumerate", "--p", "3", "--n", "1")]
+)
+def test_format_flag_not_accepted(capsys, argv):
+    # selftest and enumerate have a single output layout.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "delimited"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_output_file_written(capsys, tmp_path, q27_file):
     out_path = tmp_path / "report.txt"
     code, out, _ = run(capsys, "analyze", "--input", q27_file, "--output", str(out_path))

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from gbent import (
     CycInt,
     ExactDivisionError,
-    InternalConsistencyError,
     ModulusMismatchError,
     cyclotomic_polynomial,
     gauss_sqrt,
-    match_candidate,
     parse_cycint,
     promote,
     root,
@@ -94,16 +92,6 @@ def test_sqrt_p_power():
     assert sqrt_p_power(3, 4, 108) == 9
     odd = sqrt_p_power(3, 3, 108)
     assert odd * odd == 27
-
-
-def test_match_candidate():
-    cands = [root(27, j) for j in range(27)]
-    assert match_candidate(root(27, 5), cands) == 5
-    assert match_candidate(2 * root(3, 1), [root(27, j) for j in range(27)]) is None
-    signed = [root(27, 0), -root(27, 0)]
-    assert match_candidate(-root(27, 0), signed) == 1
-    with pytest.raises(InternalConsistencyError):
-        match_candidate(root(27, 1), [root(27, 1), root(27, 1)])
 
 
 def test_modulus_mismatch():

@@ -11,6 +11,7 @@ from gbent import (
     GBFunction,
     PAryFunction,
     all_points,
+    combination_tables,
     combine,
     compose,
     digits,
@@ -148,6 +149,18 @@ def test_combine_is_linear(rng):
             for i in range(9)
         ]
         assert tuple(lhs) == combine(t, ab).table
+
+
+@pytest.mark.parametrize(
+    "p,n,q,k",
+    [(3, 2, 3, 1), (3, 2, 9, 2), (3, 2, 27, 3), (5, 2, 125, 3), (3, 2, 15, 3), (3, 2, 21, 3)],
+)
+def test_combination_tables_match_combine(rng, p, n, q, k):
+    t = random_tuple(rng, p, n, q, k)
+    tables = combination_tables(t)
+    assert len(tables) == p ** (t.k - 1)
+    for r, table in enumerate(tables):
+        assert table == combine(t, index_point(p, t.k - 1, r)).table
 
 
 def test_function_file_round_trip(rng):

@@ -12,10 +12,11 @@ from gbent import (
     PAryFunction,
     Spectrum,
     all_points,
+    build_maiorana,
     compose,
+    example_maiorana_q27,
     gamma_general,
     gamma_product,
-    gamma_sum,
     gamma_table,
     inverse_wht,
     root,
@@ -181,18 +182,18 @@ def test_inverse_rejects_invalid_spectrum():
 
 
 def test_gamma_trivial_cases():
-    assert gamma_sum(3, 1, ()) == 1
     assert gamma_product(3, 1, ()) == 1
     assert gamma_general(3, 1, 3, ()) == 1
-    g0 = gamma_sum(3, 2, (0,))
+    g0 = gamma_general(3, 2, 9, (0,))
     assert g0 == root(36, 0) + root(36, 4) + root(36, 8)  # 1 + z9 + z9^2
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (5, 3)])
 def test_gamma_product_equals_sum(p, k):
+    # gamma_general at q = p^k is the defining sum of gamma_a.
     for rank in range(p ** (k - 1)):
         a = rank_vector(p, k - 1, rank)
-        assert gamma_product(p, k, a) == gamma_sum(p, k, a)
+        assert gamma_product(p, k, a) == gamma_general(p, k, p**k, a)
 
 
 def test_gamma_general_matches_definition():
@@ -216,9 +217,18 @@ def test_gamma_general_matches_definition():
 
 
 def test_gamma_general_prime_power_boundary():
+    # At q = p^k: sum_v zeta_3^(-a.v) zeta_27^(3 v1 + v2), written out.
+    modulus = lcm(4, 27)
     for rank in range(9):
         a = rank_vector(3, 2, rank)
-        assert gamma_general(3, 3, 27, a) == gamma_sum(3, 3, a)
+        expected = CycInt.zero(modulus)
+        for v1 in range(3):
+            for v2 in range(3):
+                phase = (-(a[0] * v1 + a[1] * v2)) % 3
+                expected = expected + root(modulus, phase * (modulus // 3)) * zeta_q(
+                    modulus, 27, 3 * v1 + v2
+                )
+        assert gamma_general(3, 3, 27, a) == expected
 
 
 def test_gamma_general_rejects_bad_parameters():
@@ -284,6 +294,28 @@ def test_spectrum_records_irrational_norm():
     f = GBFunction(3, 1, 9, (0, 1, 0))
     recs = spectrum_records(wht_naive(f))
     assert any(r[2].startswith("(mod 36)") for r in recs)
+
+
+def test_spectrum_records_norm_once_per_distinct_value(monkeypatch):
+    # A gbent spectrum repeats few values; each distinct one is normed once.
+    t = build_maiorana(example_maiorana_q27())
+    s = wht_fast(compose(t))
+    distinct = set(s.values)
+    assert len(distinct) < len(s.values)
+    expected = [
+        (u, str(v), str(v.norm_sq().as_int()))
+        for u, v in zip(all_points(s.p, s.n), s.values)
+    ]
+    calls = []
+    norm_sq = CycInt.norm_sq
+
+    def counting(self):
+        calls.append(self)
+        return norm_sq(self)
+
+    monkeypatch.setattr(CycInt, "norm_sq", counting)
+    assert spectrum_records(s) == expected
+    assert len(calls) == len(distinct)
 
 
 def test_naive_jobs_deterministic():
