@@ -23,7 +23,6 @@ from .gbfunc import (
     GBFunction,
     PAryFunction,
     all_points,
-    combination_tables,
     combine,
     compose,
     digits,

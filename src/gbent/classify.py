@@ -32,8 +32,14 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, all_points, combination_tables, compose
-from .transform import Spectrum, _fast_spectrum, wht_fast
+from .gbfunc import ComponentTuple, GBFunction, all_points, compose
+from .transform import (
+    Spectrum,
+    _combination_counts,
+    _combination_spectra,
+    _counts_to_cycint,
+    wht_fast,
+)
 
 ALPHAS = ("+1", "-1", "+i", "-i")
 _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -51,7 +57,7 @@ def expected_alphas(p: int, n: int) -> tuple[str, ...]:
     return ("+i", "-i")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _unit_candidates(p: int, n: int, q: int, modulus: int):
     """Map p^(n/2) alpha zeta_q^j -> (alpha, j) over all alphas and j in Z_q.
 
@@ -264,20 +270,49 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     return tuple(root(modulus, e * step) for e in _hadamard_exponents(p, k - 1)[row])
 
 
+def _distinct_component_vectors(
+    t: ComponentTuple,
+) -> tuple[list[int], dict[int, tuple[CycInt, ...]]]:
+    """The packed combination spectra of every point, and the vector of
+    combination spectra (indexed by the rank of a) of each distinct one.
+
+    Each distinct p-slot count vector is canonicalized once.
+    """
+    p = t.p
+    modulus = lcm(4, p)
+    step = modulus // p
+    packed, nbytes = _combination_spectra(t)
+    combos = p ** (t.k - 1)
+    canonical: dict[tuple[int, ...], CycInt] = {}
+    vectors: dict[int, tuple[CycInt, ...]] = {}
+    for v in packed:
+        if v in vectors:
+            continue
+        vector = []
+        for row in _combination_counts(v, p, combos, nbytes):
+            counts = tuple(row)
+            value = canonical.get(counts)
+            if value is None:
+                value = canonical[counts] = _counts_to_cycint(modulus, counts, step)
+            vector.append(value)
+        vectors[v] = tuple(vector)
+    return packed, vectors
+
+
 def _component_vectors(t: ComponentTuple) -> list[tuple[CycInt, ...]]:
     """Per-point vectors of combination spectra, indexed [u][rank of a]."""
-    p, n = t.p, t.n
-    modulus = lcm(4, p)
-    per_combination = [
-        _fast_spectrum(p, n, p, table, modulus).values
-        for table in combination_tables(t)
-    ]
-    return list(zip(*per_combination))
+    packed, vectors = _distinct_component_vectors(t)
+    return [vectors[v] for v in packed]
 
 
 def component_row_table(t: ComponentTuple) -> tuple[Optional[RowDecomp], ...]:
-    """row_decomp of the component-spectrum vector at every point of Z_p^n."""
-    return tuple(row_decomp(vec, t.p, t.n) for vec in _component_vectors(t))
+    """row_decomp of the component-spectrum vector at every point of Z_p^n.
+
+    Equal vectors decompose equally, so each distinct one is decomposed once.
+    """
+    packed, vectors = _distinct_component_vectors(t)
+    decomps = {v: row_decomp(vector, t.p, t.n) for v, vector in vectors.items()}
+    return tuple(decomps[v] for v in packed)
 
 
 @dataclass(frozen=True)

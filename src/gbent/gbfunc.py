@@ -199,25 +199,6 @@ def combine(t: ComponentTuple, a: Sequence[int]) -> PAryFunction:
     return PAryFunction(t.p, t.n, tuple(table))
 
 
-def combination_tables(t: ComponentTuple) -> tuple[tuple[int, ...], ...]:
-    """The tables of f_0 + sum_i a_i f_i mod p for every a in Z_p^(k-1).
-
-    Ordered by the big-endian rank of a, as point_index ranks points: each
-    component f_i extends every table built so far by its p multiples, so
-    rank r becomes r p + a_i. Entry r is the table that combine builds for
-    a = index_point(p, k-1, r).
-    """
-    p = t.p
-    tables = [t.components[0].table]
-    for component in t.components[1:]:
-        tables = [
-            tuple((v + ai * c) % p for v, c in zip(table, component.table))
-            for table in tables
-            for ai in range(p)
-        ]
-    return tuple(tables)
-
-
 # -- function file format -----------------------------------------------------
 #
 # A function file is a JSON object with fields p, n, q and either

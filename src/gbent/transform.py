@@ -19,10 +19,18 @@ One engine computes every spectrum, and two independent paths check it:
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
                       oracle the tests compare the engine against.
   * wht_composed    - the paper's composition identity: assembles the
-                      spectrum of a composed function from the engine's
-                      spectra of its p^(k-1) digit combinations, weighted by
-                      the carry coefficients gamma_a and divided exactly by
+                      spectrum of a composed function from the spectra of
+                      its C = p^(k-1) digit combinations, weighted by the
+                      carry coefficients gamma_a and divided exactly by
                       p^(k-1). It equals wht_naive only if the identity holds.
+
+All C combination spectra of a component tuple come from one run of the
+engine's butterfly (_combination_spectra), over p C slots: combination r
+keeps its Z[Z_p] element in slots e C + r, so multiplying by zeta_p^s is
+one rotation by s C slots for every combination at once. The start element
+at x depends only on the digit vector (f_0(x), ..., f_(k-1)(x)), so it is
+built once per distinct vector. wht_composed and the row criterion in
+classify both read that one butterfly.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -40,7 +48,8 @@ and a zeta_q analogue covers targets Z_q with p^(k-1) < q < p^k.
 
 All divisions here are exact integer divisions with a hard error on any
 remainder: the identities guarantee divisibility, so a failure is a bug
-(or, for inverse_wht, an input that is not a valid spectrum).
+(or, for inverse_wht, an input that is not a valid spectrum; the converse
+does not hold, see inverse_wht).
 """
 
 from __future__ import annotations
@@ -55,13 +64,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, _context, _reduce_terms
 from .errors import ExactDivisionError, InternalConsistencyError
-from .gbfunc import (
-    ComponentTuple,
-    GBFunction,
-    PAryFunction,
-    all_points,
-    combination_tables,
-)
+from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points
 
 
 @dataclass(frozen=True)
@@ -202,25 +205,15 @@ def _group_ring_butterfly(
     return vals
 
 
-def _group_ring_spectrum(
-    p: int, n: int, q: int, table: Sequence[int]
-) -> tuple[list[int], int]:
-    """S(u) for every point u as a packed element of Z[Z_q], and the slot bytes.
-
-    Point x contributes the single count zeta_q^(f(x)). Counts are
-    nonnegative and sum to p^n, so slots of the fewest bytes above p^n
-    never carry. Output is in point-index order.
-    """
-    nbytes = _slot_bytes(p**n)
-    bits = 8 * nbytes
-    vals = [1 << (v * bits) for v in table]
-    return _group_ring_butterfly(p, q, nbytes, vals, -1), nbytes
-
-
 def _fast_spectrum(
     p: int, n: int, q: int, table: Sequence[int], modulus: int
 ) -> Spectrum:
-    packed, nbytes = _group_ring_spectrum(p, n, q, table)
+    # Point x contributes the single count zeta_q^(f(x)). Counts are
+    # nonnegative and sum to p^n, so slots of the fewest bytes above p^n
+    # never carry.
+    nbytes = _slot_bytes(p**n)
+    bits = 8 * nbytes
+    packed = _group_ring_butterfly(p, q, nbytes, [1 << (v * bits) for v in table], -1)
     step = modulus // q
     # Spectral values repeat (a gbent spectrum takes at most 4q), so each
     # distinct element is canonicalized once.
@@ -234,6 +227,45 @@ def _fast_spectrum(
             )
         values.append(value)
     return Spectrum(p, n, q, modulus, tuple(values))
+
+
+def _combination_spectra(t: ComponentTuple) -> tuple[list[int], int]:
+    """Every digit-combination spectrum at every point, in one butterfly.
+
+    With C = p^(k-1) combinations f_0 + sum_i a_i f_i mod p, ranked by the
+    big-endian rank r of a, slot e C + r of point u counts zeta_p^e in the
+    spectrum of combination r at u (see the module docstring). Each
+    combination's counts sum to p^n, so slots sized as for one spectrum
+    never carry. Returns the packed elements in point-index order and the
+    slot bytes.
+    """
+    p, n = t.p, t.n
+    combos = p ** (t.k - 1)
+    nbytes = _slot_bytes(p**n)
+    bits = 8 * nbytes
+    starts: dict[tuple[int, ...], int] = {}
+    vals = []
+    for digit_vector in zip(*(c.table for c in t.components)):
+        start = starts.get(digit_vector)
+        if start is None:
+            # Each further digit d takes rank r to r p + a_i and adds a_i d.
+            values = [digit_vector[0]]
+            for d in digit_vector[1:]:
+                values = [(v + ai * d) % p for v in values for ai in range(p)]
+            start = starts[digit_vector] = sum(
+                1 << ((v * combos + r) * bits) for r, v in enumerate(values)
+            )
+        vals.append(start)
+    return _group_ring_butterfly(p, p * combos, nbytes, vals, -1), nbytes
+
+
+def _combination_counts(
+    packed: int, p: int, combos: int, nbytes: int
+) -> list[Sequence[int]]:
+    """The p slot counts of each combination, in rank order, of one packed
+    element of _combination_spectra."""
+    slots = _slot_counts(packed, p * combos, nbytes)
+    return [slots[r::combos] for r in range(combos)]
 
 
 def wht_fast(f: GBFunction) -> Spectrum:
@@ -270,8 +302,11 @@ def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
     slots are nonnegative. The offset vanishes: B sum_e zeta_M^e is fixed
     by every rotation and is 0 in Z[zeta_M], so p^n of it cancel in the
     canonical form. Output slots lie in [0, p^n 2B], which fixes the slot
-    width. The exact division by p^n fails (ExactDivisionError) when the
-    input is not the spectrum of a Z_q-valued function.
+    width. The map is linear, so the input need not be the spectrum of a
+    function: the zero spectrum inverts to zeros and c S to c zeta_q^(f(x)).
+    The exact division by p^n fails (ExactDivisionError) only when some
+    sum_u zeta_p^(u.x) S(u) is not divisible by p^n, which rules out every
+    such input but not every input that is not a spectrum.
     """
     p, n, modulus = s.p, s.n, s.modulus
     size = p**n
@@ -360,7 +395,7 @@ class GammaTable:
     entries: dict[tuple[int, ...], CycInt]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaTable:
     if modulus is None:
         modulus = lcm(4, q)
@@ -378,35 +413,34 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     """Spectrum of compose(t) assembled from its digit-combination spectra.
 
     S_f(u) = (1/p^(k-1)) sum_a S_(f_0 + sum a_i f_i)(u) gamma_a, with the
-    gamma table shared across all u. The combination tables and the gamma
-    entries are both in big-endian rank order of a, so they pair by position.
-    Equal entrywise to wht_naive(compose(t)).
+    gamma table shared across all u. The combination spectra (one butterfly,
+    _combination_spectra) and the gamma entries are both in big-endian rank
+    order of a, so they pair by position. Equal entrywise to
+    wht_naive(compose(t)).
     """
     p, k, q = t.p, t.k, t.q
     modulus = lcm(4, q)
     step_p = modulus // p
-    size = p**t.n
-    gammas = gamma_table(p, k, q)
-    divisor = p ** (k - 1)
-    # Per combination: digit-count rows plus the sparse exponent form of gamma.
-    parts = []
-    for table, gamma in zip(combination_tables(t), gammas.entries.values()):
-        packed, nbytes = _group_ring_spectrum(p, t.n, p, table)
-        digit_rows = [_slot_counts(v, p, nbytes) for v in packed]
-        gamma_terms = [(j, gc) for j, gc in enumerate(gamma.coeffs) if gc]
-        parts.append((digit_rows, gamma_terms))
+    combos = p ** (k - 1)
+    # The sparse exponent form of each gamma, in rank order.
+    gamma_terms = [
+        [(j, gc) for j, gc in enumerate(gamma.coeffs) if gc]
+        for gamma in gamma_table(p, k, q).entries.values()
+    ]
+    packed, nbytes = _combination_spectra(t)
     values = []
-    for u in range(size):
+    for u, v in enumerate(packed):
         counts = [0] * modulus
-        for digit_rows, gamma_terms in parts:
-            for e, c in enumerate(digit_rows[u]):
+        rows = _combination_counts(v, p, combos, nbytes)
+        for row, terms in zip(rows, gamma_terms):
+            for e, c in enumerate(row):
                 if c:
                     shift = e * step_p
-                    for j, gc in gamma_terms:
+                    for j, gc in terms:
                         counts[(j + shift) % modulus] += c * gc
         total = _counts_to_cycint(modulus, counts)
         try:
-            values.append(total.divide_exact(divisor))
+            values.append(total.divide_exact(combos))
         except ExactDivisionError as e:
             raise InternalConsistencyError(
                 f"composed spectrum not divisible by p^(k-1) at point {u}: {e}"

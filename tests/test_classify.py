@@ -9,6 +9,7 @@ from gbent import (
     PAryFunction,
     all_points,
     build_maiorana,
+    combine,
     compose,
     component_row_table,
     example_maiorana_q21,
@@ -16,6 +17,7 @@ from gbent import (
     expected_alphas,
     hadamard_row,
     hadamard_row_criterion,
+    index_point,
     is_gbent,
     point_index,
     regularity,
@@ -24,9 +26,13 @@ from gbent import (
     spectral_form,
     sqrt_p_power,
     weak_regularity_certificate,
+    wht_composed,
+    wht_fast,
     wht_naive,
+    wht_pary_fast,
 )
-from gbent.classify import alpha_element
+from gbent import classify, transform
+from gbent.classify import _component_vectors, alpha_element
 from conftest import rank_vector, random_tuple
 
 
@@ -129,6 +135,21 @@ def test_regularity_weakly_regular_minus_one():
     assert reg.verdict == "weakly_regular"
     assert reg.alpha == "-1"
     assert reg.is_weakly_regular
+
+
+def test_even_q_absorbs_minus_one_into_the_dual():
+    # In Z_6, -1 = zeta_6^3: the alpha = -1 of g = x1^2 + x2^2 over Z_3
+    # becomes part of the dual of its embedding 2g into Z_6, which therefore
+    # reports regular with dual 2 g* + 3.
+    g = pary_from(3, 2, lambda x: x[0] ** 2 + x[1] ** 2).as_gbfunction()
+    reg_g = regularity(g)
+    assert (reg_g.verdict, reg_g.alpha) == ("weakly_regular", "-1")
+    f = GBFunction(3, 2, 6, tuple(2 * v for v in g.table))
+    assert wht_fast(f).values == wht_fast(g).values
+    reg_f = regularity(f)
+    assert (reg_f.verdict, reg_f.alpha) == ("regular", "+1")
+    dual_g = reg_g.spectral.dual_table()
+    assert reg_f.spectral.dual_table() == tuple((2 * d + 3) % 6 for d in dual_g)
 
 
 def _gf729_monomial_table():
@@ -238,10 +259,53 @@ def test_row_decomp_rejects_non_row():
     assert row_decomp(vec, 3, 4) is None
 
 
+@pytest.mark.parametrize(
+    "p,n,q,k",
+    [(3, 2, 3, 1), (3, 2, 9, 2), (3, 2, 27, 3), (5, 2, 125, 3), (3, 2, 15, 3),
+     (3, 2, 21, 3), (3, 5, 27, 3)],
+)
+def test_component_vectors_match_combine(rng, p, n, q, k):
+    # Entry [u][r] is the spectrum of combination r, built one at a time;
+    # at p^n = 243 a one-byte slot is full.
+    t = random_tuple(rng, p, n, q, k)
+    assert not is_gbent(compose(t))
+    vectors = _component_vectors(t)
+    assert len(vectors) == p**n
+    for r in range(p ** (k - 1)):
+        spectrum = wht_pary_fast(combine(t, index_point(p, k - 1, r)), lcm(4, p))
+        assert [vec[r] for vec in vectors] == list(spectrum.values)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_butterfly_per_tuple(monkeypatch, tuple_q27):
+    calls = _count_calls(monkeypatch, transform, "_group_ring_butterfly")
+    component_row_table(tuple_q27)
+    assert len(calls) == 1
+    wht_composed(tuple_q27)
+    assert len(calls) == 2
+
+
+def test_row_decomp_once_per_distinct_vector(monkeypatch, tuple_q27):
+    distinct = set(_component_vectors(tuple_q27))
+    calls = _count_calls(monkeypatch, classify, "row_decomp")
+    decomps = component_row_table(tuple_q27)
+    assert len(calls) == len(distinct) < len(decomps)
+    assert all(d is not None for d in decomps)
+
+
 def test_row_reconstruction_round_trip(tuple_q27):
     # decompositions reproduce the component vectors exactly
-    from gbent.classify import _component_vectors
-
     vectors = _component_vectors(tuple_q27)
     decomps = component_row_table(tuple_q27)
     modulus = vectors[0][0].modulus
@@ -349,8 +413,6 @@ def _random_gbent_tuples(rng, count):
 
 def test_row_criterion_positive_cases_have_bent_components(rng):
     # whenever the criterion holds, every digit combination is p-ary bent
-    from gbent.classify import _component_vectors
-
     for t in _random_gbent_tuples(rng, 10):
         assert hadamard_row_criterion(t).holds
         for vec in _component_vectors(t):

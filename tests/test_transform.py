@@ -174,6 +174,14 @@ def test_inverse_of_point_mass():
     assert all(v == 1 for v in t)
 
 
+def test_inverse_of_zero_spectrum():
+    # The inverse is linear: the zero spectrum, which belongs to no function,
+    # inverts to zeros rather than failing.
+    modulus = lcm(4, 21)
+    zero = CycInt.zero(modulus)
+    assert inverse_wht(Spectrum(3, 2, 21, modulus, (zero,) * 9)) == (zero,) * 9
+
+
 def test_inverse_rejects_invalid_spectrum():
     modulus = lcm(4, 9)
     values = [CycInt.integer(modulus, 1)] + [CycInt.zero(modulus)] * 8
