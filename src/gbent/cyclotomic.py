@@ -20,11 +20,20 @@ reduces to a few basis terms (on average 1.3 at M = 108, 2.7 at M = 84 and
 conjugation, embedding and parsing reduce each exponent by reading a short
 sparse row. All values are immutable; the per-modulus cache is
 initialize-once, read-many.
+
+A product of dense operands (nnz(a) nnz(b) > phi(M)) is one bigint
+multiply (Kronecker substitution): each operand is packed one coefficient
+per signed slot of one Python int, slots wide enough for every coefficient
+of the product. Sparse operands, such as roots of unity, keep the loop
+over nonzero pairs, which is faster for them. The spectrum engine packs
+its group-ring elements in the same slots, unsigned.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -111,6 +120,90 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in dens:
         poly = _poly_divexact(poly, [-1] + [0] * (d - 1) + [1])
     return tuple(poly)
+
+
+# -- Kronecker packing -----------------------------------------------------------
+#
+# A packed vector is one Python int whose slot i, 8 nbytes bits wide and
+# little-endian (slot 0 lowest), holds entry i.
+
+# Bytes per slot -> the array typecodes (unsigned, signed) with that item size.
+_SLOT_TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHILQ", "bhilq")}
+
+
+def _slot_bytes(bound: int) -> int:
+    """The fewest bytes per slot that hold any count up to bound.
+
+    Rounded up to an array item size when one is wide enough, so that
+    packing and unpacking run through array.
+    """
+    nbytes = max(1, -(-bound.bit_length() // 8))
+    return min((b for b in _SLOT_TYPECODES if b >= nbytes), default=nbytes)
+
+
+def _raw_slots(values: Sequence[int], nbytes: int, signed: bool) -> bytes:
+    """The bytes of values, one little-endian slot of nbytes each."""
+    codes = _SLOT_TYPECODES.get(nbytes)
+    if codes is None:
+        return b"".join(v.to_bytes(nbytes, "little", signed=signed) for v in values)
+    items = array(codes[signed], values)
+    if sys.byteorder != "little":
+        items.byteswap()
+    return items.tobytes()
+
+
+def _read_slots(raw: bytes, nbytes: int, signed: bool) -> Sequence[int]:
+    """The values of the little-endian slots of raw, nbytes each."""
+    codes = _SLOT_TYPECODES.get(nbytes)
+    if codes is None:
+        return [
+            int.from_bytes(raw[i : i + nbytes], "little", signed=signed)
+            for i in range(0, len(raw), nbytes)
+        ]
+    # The slots are read little-endian; array items use the host byte order.
+    items = array(codes[signed], raw)
+    if sys.byteorder != "little":
+        items.byteswap()
+    return items
+
+
+def _pack_slots(counts: Sequence[int], nbytes: int) -> int:
+    """Pack nonnegative slot counts, slot 0 lowest, nbytes bytes each."""
+    return int.from_bytes(_raw_slots(counts, nbytes, False), "little")
+
+
+def _slot_counts(packed: int, slots: int, nbytes: int) -> Sequence[int]:
+    """The slot counts of a packed element, slot 0 first."""
+    return _read_slots(packed.to_bytes(slots * nbytes, "little"), nbytes, False)
+
+
+@lru_cache(maxsize=64)
+def _sign_bits(slots: int, nbytes: int) -> int:
+    """The top bit of each of the slots."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+
+
+def _pack_signed(coeffs: Sequence[int], nbytes: int) -> int:
+    """sum_i coeffs[i] 2^(8 nbytes i), for |coeffs[i]| < 2^(8 nbytes - 1).
+
+    Read as one unsigned int u, a negative slot in two's complement has
+    its sign bit set and has borrowed one from the slot above;
+    u - ((u & top) << 1) repays every borrow.
+    """
+    u = int.from_bytes(_raw_slots(coeffs, nbytes, True), "little")
+    return u - ((u & _sign_bits(len(coeffs), nbytes)) << 1)
+
+
+def _unpack_signed(packed: int, slots: int, nbytes: int) -> Sequence[int]:
+    """The balanced digits of packed, slot 0 first; inverse of _pack_signed.
+
+    Each digit must lie in [-2^(8 nbytes - 1), 2^(8 nbytes - 1)). Adding top
+    lifts every digit into [0, 2^(8 nbytes)), so no slot borrows; flipping
+    each top bit back leaves the digits in two's complement.
+    """
+    top = _sign_bits(slots, nbytes)
+    raw = ((packed + top) ^ top).to_bytes(slots * nbytes, "little")
+    return _read_slots(raw, nbytes, True)
 
 
 class _Context:
@@ -252,13 +345,23 @@ class CycInt:
         a, b = self._pair(other)
         ctx = _context(a.modulus)
         deg = ctx.degree
-        terms_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in terms_b:
-                    conv[i + j] += ai * bj
-        acc = conv[:deg]
+        nnz_a = deg - a.coeffs.count(0)
+        nnz_b = deg - b.coeffs.count(0)
+        if nnz_a * nnz_b > deg:
+            # Dense: one bigint product of the packed operands. No product
+            # coefficient exceeds bound, so balanced slots above 2 bound hold it.
+            bound = min(nnz_a, nnz_b) * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
+            nbytes = _slot_bytes(2 * bound)
+            product = _pack_signed(a.coeffs, nbytes) * _pack_signed(b.coeffs, nbytes)
+            conv = _unpack_signed(product, 2 * deg - 1, nbytes)
+        else:
+            conv = [0] * (2 * deg - 1)
+            terms_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
+            for i, ai in enumerate(a.coeffs):
+                if ai:
+                    for j, bj in terms_b:
+                        conv[i + j] += ai * bj
+        acc = list(conv[:deg])
         sparse, modulus = ctx.sparse_powers, a.modulus
         for e in range(deg, len(conv)):
             c = conv[e]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .cyclotomic import is_prime
@@ -46,8 +47,11 @@ def index_point(p: int, n: int, idx: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def all_points(p: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All points of Z_p^n in point-index order."""
-    return tuple(index_point(p, n, i) for i in range(p**n))
+    """All points of Z_p^n in point-index order.
+
+    product varies its last coordinate fastest, as the big-endian index does.
+    """
+    return tuple(product(range(p), repeat=n))
 
 
 def smallest_exponent(p: int, q: int) -> int:

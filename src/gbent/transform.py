@@ -30,7 +30,9 @@ keeps its Z[Z_p] element in slots e C + r, so multiplying by zeta_p^s is
 one rotation by s C slots for every combination at once. The start element
 at x depends only on the digit vector (f_0(x), ..., f_(k-1)(x)), so it is
 built once per distinct vector. wht_composed and the row criterion in
-classify both read that one butterfly.
+classify both read that one butterfly; wht_composed weights slot e C + r
+by zeta_p^e gamma_r, Kronecker-packed in signed slots (cyclotomic), so each
+composed value is one sum of bigint products, unpacked once.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -54,15 +56,23 @@ does not hold, see inverse_wht).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import lshift
+from operator import lshift, mul
 from typing import Optional, Sequence
 
-from .cyclotomic import CycInt, _context, _reduce_terms
+from .cyclotomic import (
+    CycInt,
+    _context,
+    _pack_signed,
+    _pack_slots,
+    _reduce_terms,
+    _slot_bytes,
+    _slot_counts,
+    _unpack_signed,
+    root,
+)
 from .errors import ExactDivisionError, InternalConsistencyError
 from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points
 
@@ -128,49 +138,6 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
             counts[(shifted[x] - du[x] * step_p) % modulus] += 1
         values.append(_counts_to_cycint(modulus, counts))
     return Spectrum(p, n, q, modulus, tuple(values))
-
-
-# Bytes per group-ring slot -> the array typecode with that item size.
-_SLOT_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
-
-
-def _slot_bytes(bound: int) -> int:
-    """The fewest bytes per slot that hold any count up to bound.
-
-    Rounded up to an array item size when one is wide enough, so that
-    packing and unpacking run through array.
-    """
-    nbytes = max(1, -(-bound.bit_length() // 8))
-    return min((b for b in _SLOT_TYPECODES if b >= nbytes), default=nbytes)
-
-
-def _pack_slots(counts: Sequence[int], nbytes: int) -> int:
-    """Pack nonnegative slot counts, slot 0 lowest, nbytes bytes each."""
-    code = _SLOT_TYPECODES.get(nbytes)
-    if code is None:
-        return int.from_bytes(
-            b"".join(c.to_bytes(nbytes, "little") for c in counts), "little"
-        )
-    items = array(code, counts)
-    if sys.byteorder != "little":
-        items.byteswap()
-    return int.from_bytes(items.tobytes(), "little")
-
-
-def _slot_counts(packed: int, slots: int, nbytes: int) -> Sequence[int]:
-    """The slot counts of a packed element, slot 0 first."""
-    raw = packed.to_bytes(slots * nbytes, "little")
-    code = _SLOT_TYPECODES.get(nbytes)
-    if code is None:
-        return [
-            int.from_bytes(raw[i : i + nbytes], "little")
-            for i in range(0, len(raw), nbytes)
-        ]
-    # The slots are read little-endian; array items use the host byte order.
-    counts = array(code, raw)
-    if sys.byteorder != "little":
-        counts.byteswap()
-    return counts
 
 
 def _group_ring_butterfly(
@@ -409,42 +376,55 @@ def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaT
     return GammaTable(p, k, q, modulus, entries)
 
 
+@lru_cache(maxsize=32)
+def _gamma_weights(p: int, k: int, q: int, points: int) -> tuple[int, tuple[int, ...]]:
+    """zeta_p^e gamma_r for every slot e C + r of _combination_spectra.
+
+    Each weight is the canonical form of the product in Z[zeta_M],
+    Kronecker-packed by _pack_signed. The slot counts of one point sum to
+    C points, so slots above 2 C points max|coefficient| hold any sum of
+    the weights times those counts. Returns the slot bytes and the weights.
+    """
+    modulus = lcm(4, q)
+    step = modulus // p
+    gammas = gamma_table(p, k, q).entries.values()
+    products = [root(modulus, e * step) * g for e in range(p) for g in gammas]
+    bound = len(gammas) * points * max(abs(c) for g in products for c in g.coeffs)
+    nbytes = _slot_bytes(2 * bound)
+    return nbytes, tuple(_pack_signed(g.coeffs, nbytes) for g in products)
+
+
 def wht_composed(t: ComponentTuple) -> Spectrum:
     """Spectrum of compose(t) assembled from its digit-combination spectra.
 
     S_f(u) = (1/p^(k-1)) sum_a S_(f_0 + sum a_i f_i)(u) gamma_a, with the
-    gamma table shared across all u. The combination spectra (one butterfly,
-    _combination_spectra) and the gamma entries are both in big-endian rank
-    order of a, so they pair by position. Equal entrywise to
-    wht_naive(compose(t)).
+    gamma table shared across all u. Slot e C + r of the one butterfly
+    (_combination_spectra) counts zeta_p^e in the spectrum of combination r,
+    so C S_f(u) is the sum of those counts times the packed canonical form
+    of zeta_p^e gamma_r (_gamma_weights): a linear combination of bigints,
+    unpacked once per distinct point into canonical coefficients and divided
+    exactly by C = p^(k-1). Equal entrywise to wht_naive(compose(t)).
     """
     p, k, q = t.p, t.k, t.q
     modulus = lcm(4, q)
-    step_p = modulus // p
     combos = p ** (k - 1)
-    # The sparse exponent form of each gamma, in rank order.
-    gamma_terms = [
-        [(j, gc) for j, gc in enumerate(gamma.coeffs) if gc]
-        for gamma in gamma_table(p, k, q).entries.values()
-    ]
+    degree = _context(modulus).degree
+    wbytes, weights = _gamma_weights(p, k, q, p**t.n)
     packed, nbytes = _combination_spectra(t)
+    canonical: dict[int, CycInt] = {}
     values = []
     for u, v in enumerate(packed):
-        counts = [0] * modulus
-        rows = _combination_counts(v, p, combos, nbytes)
-        for row, terms in zip(rows, gamma_terms):
-            for e, c in enumerate(row):
-                if c:
-                    shift = e * step_p
-                    for j, gc in terms:
-                        counts[(j + shift) % modulus] += c * gc
-        total = _counts_to_cycint(modulus, counts)
-        try:
-            values.append(total.divide_exact(combos))
-        except ExactDivisionError as e:
-            raise InternalConsistencyError(
-                f"composed spectrum not divisible by p^(k-1) at point {u}: {e}"
-            ) from None
+        value = canonical.get(v)
+        if value is None:
+            total = sum(map(mul, _slot_counts(v, p * combos, nbytes), weights))
+            scaled = CycInt(modulus, _unpack_signed(total, degree, wbytes))
+            try:
+                value = canonical[v] = scaled.divide_exact(combos)
+            except ExactDivisionError as e:
+                raise InternalConsistencyError(
+                    f"composed spectrum not divisible by p^(k-1) at point {u}: {e}"
+                ) from None
+        values.append(value)
     return Spectrum(t.p, t.n, t.q, modulus, tuple(values))
 
 

@@ -16,7 +16,8 @@ from gbent import (
     root,
     sqrt_p_power,
 )
-from gbent.cyclotomic import _context
+from gbent import cyclotomic
+from gbent.cyclotomic import _context, _pack_signed, _unpack_signed
 from gbent.transform import _counts_to_cycint
 
 X = sympy.Symbol("x")
@@ -112,14 +113,17 @@ def test_divide_exact():
         (3 * root(12, 5) + 1).divide_exact(3)
 
 
-coeff_vectors = st.integers(min_value=-6, max_value=6)
+# Coefficient magnitudes: small ones, and wide ones whose products need
+# 4-byte, 8-byte and wider-than-8-byte packed slots.
+MAGNITUDES = (6, 2**12, 2**25, 2**70)
 
 
 @st.composite
-def elements(draw, moduli=(3, 4, 5, 7, 9, 11, 12, 36, 84)):
+def elements(draw, moduli=(3, 4, 5, 7, 9, 11, 12, 36, 84, 420, 500)):
     modulus = draw(st.sampled_from(moduli))
     degree = _context(modulus).degree
-    coeffs = draw(st.lists(coeff_vectors, min_size=degree, max_size=degree))
+    bound = draw(st.sampled_from(MAGNITUDES))
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree))
     return CycInt(modulus, tuple(coeffs))
 
 
@@ -129,13 +133,8 @@ def test_root_periodicity(modulus, t):
     assert root(modulus, t) == root(modulus, t + modulus)
 
 
-@settings(max_examples=60, deadline=None)
-@given(elements(), elements())
-def test_multiplication_matches_sympy(a, b):
-    if a.modulus != b.modulus:
-        b = CycInt(a.modulus, b.coeffs[: _context(a.modulus).degree]) \
-            if len(b.coeffs) >= _context(a.modulus).degree else a
-    product = a * b
+def sympy_product(a, b):
+    """The canonical coefficients of a b, multiplied and reduced by sympy."""
     pa = sympy.Poly(list(reversed(a.coeffs)) or [0], X, domain="ZZ")
     pb = sympy.Poly(list(reversed(b.coeffs)) or [0], X, domain="ZZ")
     phi = sympy.Poly(sympy.cyclotomic_poly(a.modulus, X), X, domain="ZZ")
@@ -143,7 +142,57 @@ def test_multiplication_matches_sympy(a, b):
     expected = [0] * phi.degree()
     for exp, c in zip(rem.monoms(), rem.coeffs()):
         expected[exp[0]] = int(c)
-    assert list(product.coeffs) == expected
+    return tuple(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(), elements())
+def test_multiplication_matches_sympy(a, b):
+    if a.modulus != b.modulus:
+        b = CycInt(a.modulus, b.coeffs[: _context(a.modulus).degree]) \
+            if len(b.coeffs) >= _context(a.modulus).degree else a
+    assert (a * b).coeffs == sympy_product(a, b)
+
+
+@pytest.mark.parametrize("modulus,unit_exponents", [(420, (143, 146)), (500, (200, 203))])
+def test_product_branches_match_sympy(modulus, unit_exponents, monkeypatch):
+    # Units with 2 (M = 420) or 4 (M = 500) terms multiply on the sparse
+    # branch; a unit times a dense element and dense times dense go through
+    # the packed product, at every slot width.
+    widths = []
+    pack = cyclotomic._pack_signed
+    monkeypatch.setattr(
+        cyclotomic, "_pack_signed", lambda c, nbytes: widths.append(nbytes) or pack(c, nbytes)
+    )
+    rng = random.Random(modulus)
+    degree = _context(modulus).degree
+    u, v = (root(modulus, t) for t in unit_exponents)
+    assert (u * v).coeffs == sympy_product(u, v)
+    assert widths == []
+    for bound in (1,) + MAGNITUDES:
+        a, b = (CycInt(modulus, [rng.randint(-bound, bound) for _ in range(degree)])
+                for _ in range(2))
+        assert (u * a).coeffs == sympy_product(u, a)
+        assert (a * b).coeffs == sympy_product(a, b)
+    assert {1, 2, 4, 8} <= set(widths) and max(widths) > 8
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
+def test_signed_packing_round_trip(nbytes):
+    rng = random.Random(nbytes)
+    top = 2 ** (8 * nbytes - 1) - 1
+    vectors = [
+        [0] * 7,
+        [top, -top] * 3,
+        [-top, top, 0, -top],
+        [rng.randint(-top, top) for _ in range(20)],
+    ]
+    if nbytes > 8:
+        vectors.append([2**70, -(2**70), 1, -1])
+    for coeffs in vectors:
+        packed = _pack_signed(coeffs, nbytes)
+        assert packed == sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
+        assert list(_unpack_signed(packed, len(coeffs), nbytes)) == coeffs
 
 
 @settings(max_examples=60, deadline=None)

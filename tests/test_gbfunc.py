@@ -33,6 +33,11 @@ def test_point_index_bijection():
         assert point_index(3, index_point(3, 4, i)) == i
 
 
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (7, 2)])
+def test_all_points_in_index_order(p, n):
+    assert all_points(p, n) == tuple(index_point(p, n, i) for i in range(p**n))
+
+
 def test_point_index_rejects_bad_coordinate():
     with pytest.raises(ValueError):
         point_index(3, (0, 3))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbent import (
+    ComponentTuple,
     CycInt,
     ExactDivisionError,
     GBFunction,
@@ -278,7 +279,8 @@ def test_composed_k1_is_single_spectrum(rng):
 
 def test_composed_equals_naive_oracle(rng):
     cases = [(3, 2, 9, 2), (3, 2, 27, 3), (3, 2, 21, 3), (5, 2, 25, 2), (3, 2, 15, 3),
-             (3, 2, 6, 2), (3, 2, 12, 3), (3, 2, 24, 3)]
+             (3, 2, 6, 2), (3, 2, 12, 3), (3, 2, 24, 3), (5, 2, 125, 3), (7, 2, 49, 2),
+             (3, 2, 105, 5)]
     for p, n, q, k in cases:
         for _ in range(4):
             t = random_tuple(rng, p, n, q, k)
@@ -286,6 +288,19 @@ def test_composed_equals_naive_oracle(rng):
             naive = wht_naive(compose(t))
             assert composed.values == naive.values
             assert_parseval(composed)
+
+
+@pytest.mark.parametrize("p,n,q,k", [(3, 5, 9, 2), (5, 3, 125, 3), (3, 5, 105, 5)])
+def test_composed_constant_function(p, n, q, k):
+    # Before the division by p^(k-1), S(0) of a constant function holds
+    # p^(k-1) p^n in its coefficients: the largest value a slot of the packed
+    # composed sum must hold.
+    t = ComponentTuple(p, n, q, tuple(
+        PAryFunction(p, n, (d % p,) * p**n) for d in range(1, k + 1)
+    ))
+    values = wht_composed(t).values
+    assert values[0] == p**n * zeta_q(lcm(4, q), q, compose(t).table[0])
+    assert all(v.is_zero() for v in values[1:])
 
 
 def test_spectrum_records_are_ordered():
