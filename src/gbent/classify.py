@@ -20,7 +20,10 @@ bundled reference tables and the point-index convention used everywhere
 else in the package. For general q a successful row match with one global
 alpha certifies weak regularity and produces the dual
 f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
-against the directly computed spectrum.
+against the directly computed spectrum. component_row_table never forms
+the vector: it tests the vector's inverse transform, the digit slices of
+transform's butterfly, for one nonzero slice. row_decomp decomposes an
+explicit vector and is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, all_points, compose
+from .gbfunc import ComponentTuple, GBFunction, all_points, compose, index_point
 from .transform import (
     Spectrum,
-    _combination_counts,
-    _combination_spectra,
     _counts_to_cycint,
+    _digit_slices,
+    _per_distinct,
     wht_fast,
 )
 
@@ -96,15 +99,8 @@ def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     if spectrum is None:
         spectrum = wht_fast(f)
     target = CycInt.integer(spectrum.modulus, f.p**f.n)
-    points = all_points(f.p, f.n)
-    # A gbent spectrum takes at most 4q distinct values: test each once.
-    verdicts: dict[CycInt, bool] = {}
-    for v in spectrum.values:
-        if v not in verdicts:
-            verdicts[v] = v.norm_sq() == target
-    failures = tuple(
-        points[u] for u, v in enumerate(spectrum.values) if not verdicts[v]
-    )
+    verdicts = _per_distinct(spectrum.values, lambda v: v.norm_sq() == target)
+    failures = tuple(u for u, ok in zip(all_points(f.p, f.n), verdicts) if not ok)
     return GbentReport(not failures, failures, spectrum)
 
 
@@ -270,49 +266,40 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     return tuple(root(modulus, e * step) for e in _hadamard_exponents(p, k - 1)[row])
 
 
-def _distinct_component_vectors(
-    t: ComponentTuple,
-) -> tuple[list[int], dict[int, tuple[CycInt, ...]]]:
-    """The packed combination spectra of every point, and the vector of
-    combination spectra (indexed by the rank of a) of each distinct one.
+def _slice_decomp(
+    slices: Sequence[Sequence[int]], p: int, n: int, k: int
+) -> Optional[RowDecomp]:
+    """The row decomposition of one point, read off its digit slices.
 
-    Each distinct p-slot count vector is canonicalized once.
+    Slice r is the inverse Hadamard transform of the combination-spectrum
+    vector at row r (transform._digit_slices), so the vector is
+    alpha zeta_p^j times row r exactly when slice r is the only nonzero
+    slice and equals p^(n/2) alpha zeta_p^j. Slice counts c_0, ..., c_(p-1)
+    stand for sum_e c_e zeta_p^e, which is zero exactly when all c_e are
+    equal: 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only relation.
     """
-    p = t.p
+    nonzero = [r for r, s in enumerate(slices) if min(s) != max(s)]
+    if len(nonzero) != 1:
+        return None
+    row = nonzero[0]
     modulus = lcm(4, p)
-    step = modulus // p
-    packed, nbytes = _combination_spectra(t)
-    combos = p ** (t.k - 1)
-    canonical: dict[tuple[int, ...], CycInt] = {}
-    vectors: dict[int, tuple[CycInt, ...]] = {}
-    for v in packed:
-        if v in vectors:
-            continue
-        vector = []
-        for row in _combination_counts(v, p, combos, nbytes):
-            counts = tuple(row)
-            value = canonical.get(counts)
-            if value is None:
-                value = canonical[counts] = _counts_to_cycint(modulus, counts, step)
-            vector.append(value)
-        vectors[v] = tuple(vector)
-    return packed, vectors
-
-
-def _component_vectors(t: ComponentTuple) -> list[tuple[CycInt, ...]]:
-    """Per-point vectors of combination spectra, indexed [u][rank of a]."""
-    packed, vectors = _distinct_component_vectors(t)
-    return [vectors[v] for v in packed]
+    value = _counts_to_cycint(modulus, slices[row], modulus // p)
+    hit = _unit_candidates(p, n, p, modulus).get(value)
+    if hit is None:
+        return None
+    return RowDecomp(*hit, index_point(p, k - 1, row), row)
 
 
 def component_row_table(t: ComponentTuple) -> tuple[Optional[RowDecomp], ...]:
-    """row_decomp of the component-spectrum vector at every point of Z_p^n.
+    """The row decomposition of the component-spectrum vector at every point
+    of Z_p^n; None where there is none.
 
-    Equal vectors decompose equally, so each distinct one is decomposed once.
+    Agrees with row_decomp on the vector (S_a(u))_a. Points with equal
+    packed digit spectra decompose equally, so each distinct one is
+    decomposed once.
     """
-    packed, vectors = _distinct_component_vectors(t)
-    decomps = {v: row_decomp(vector, t.p, t.n) for v, vector in vectors.items()}
-    return tuple(decomps[v] for v in packed)
+    packed, read = _digit_slices(t)
+    return _per_distinct(packed, lambda v: _slice_decomp(read(v), t.p, t.n, t.k))
 
 
 @dataclass(frozen=True)
@@ -330,7 +317,7 @@ class RowCriterionReport:
 
 
 def hadamard_row_criterion(t: ComponentTuple) -> RowCriterionReport:
-    """Run row_decomp at every point of Z_p^n.
+    """Decompose the component-spectrum vector at every point of Z_p^n.
 
     Intended for q = p^k (where it decides gbent-ness); the degenerate
     k = 1 case reduces to matching single p-ary spectral values.
@@ -365,7 +352,6 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     gbent (the row condition is sufficient, not necessary, for general q).
     """
     p, q = t.p, t.q
-    size = p**t.n
     decomps = component_row_table(t)
     if any(d is None for d in decomps):
         return None
@@ -377,10 +363,10 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     dual_table = [((q // p) * d.j + d.row) % q for d in decomps]
     dual = GBFunction(p, t.n, q, tuple(dual_table))
     spectrum = wht_fast(compose(t))
-    scale = sqrt_p_power(p, t.n, spectrum.modulus)
-    prefactor = scale * alpha_element(alpha, spectrum.modulus)
-    step_q = spectrum.modulus // q
-    for u in range(size):
-        if spectrum.values[u] != prefactor * root(spectrum.modulus, dual_table[u] * step_q):
-            return None
+    modulus = spectrum.modulus
+    prefactor = sqrt_p_power(p, t.n, modulus) * alpha_element(alpha, modulus)
+    # One expected element per distinct dual value, at most q of them.
+    expected = {d: prefactor * root(modulus, d * (modulus // q)) for d in set(dual_table)}
+    if any(s != expected[d] for s, d in zip(spectrum.values, dual_table)):
+        return None
     return DualCertificate(alpha, dual, tuple(decomps))

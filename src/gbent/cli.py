@@ -35,6 +35,7 @@ from .gbfunc import (
     index_point,
     load_function,
     point_index,
+    read_text,
 )
 from .construct import build_maiorana, built_function_doc, example_maiorana_q21, \
     example_maiorana_q27, enumerate_pary_bent, load_construction, quadratic_sweep
@@ -57,6 +58,17 @@ def _write_output(lines: list[str], path: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _load_input(command: str, load, path: str):
+    """load(path), or None once the error is reported on stderr."""
+    try:
+        return load(path)
+    except OSError as e:
+        print(f"{command}: cannot read {path}: {e}", file=sys.stderr)
+    except FunctionFormatError as e:
+        print(f"{command}: {path}: {e}", file=sys.stderr)
+    return None
 
 
 # -- analyze -------------------------------------------------------------------
@@ -117,13 +129,8 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        doc = load_function(args.input)
-    except OSError as e:
-        print(f"analyze: cannot read {args.input}: {e}", file=sys.stderr)
-        return 2
-    except FunctionFormatError as e:
-        print(f"analyze: {args.input}: {e}", file=sys.stderr)
+    doc = _load_input("analyze", load_function, args.input)
+    if doc is None:
         return 2
     lines, ok = _analyze_lines(doc, args.format)
     _write_output(lines, args.output)
@@ -134,13 +141,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        spec = load_construction(args.input)
-    except OSError as e:
-        print(f"construct: cannot read {args.input}: {e}", file=sys.stderr)
-        return 2
-    except FunctionFormatError as e:
-        print(f"construct: {args.input}: {e}", file=sys.stderr)
+    spec = _load_input("construct", load_construction, args.input)
+    if spec is None:
         return 2
     doc = built_function_doc(spec)
     text = function_to_text(doc)
@@ -156,10 +158,13 @@ def cmd_construct(args) -> int:
 
 
 def _load_golden_rows(name: str, golden_dir: Optional[str]):
-    filename, _ = _REFERENCE_TABLES[name]
+    filename, make_spec = _REFERENCE_TABLES[name]
+    p = make_spec().p
     if golden_dir:
-        with open(f"{golden_dir}/{filename}", "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            text = read_text(f"{golden_dir}/{filename}")
+        except FunctionFormatError as e:
+            raise FunctionFormatError(f"{filename}: {e}") from None
     else:
         text = resources.files("gbent").joinpath(f"data/{filename}").read_text()
     rows = {}
@@ -170,8 +175,12 @@ def _load_golden_rows(name: str, golden_dir: Optional[str]):
         parts = line.split()
         if len(parts) != 7:
             raise FunctionFormatError(f"{filename}:{lineno}: expected 7 fields")
-        u = tuple(int(v) for v in parts[:4])
-        rows[u] = (parts[4], int(parts[5]), int(parts[6]))
+        try:
+            u = tuple(int(v) for v in parts[:4])
+            point_index(p, u)
+            rows[u] = (parts[4], int(parts[5]), int(parts[6]))
+        except ValueError as e:
+            raise FunctionFormatError(f"{filename}:{lineno}: {e}") from None
     return rows
 
 
@@ -270,13 +279,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        doc = load_function(args.input)
-    except OSError as e:
-        print(f"spectrum: cannot read {args.input}: {e}", file=sys.stderr)
-        return 2
-    except FunctionFormatError as e:
-        print(f"spectrum: {args.input}: {e}", file=sys.stderr)
+    doc = _load_input("spectrum", load_function, args.input)
+    if doc is None:
         return 2
     f = doc.function
     s = wht_fast(f)

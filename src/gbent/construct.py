@@ -28,6 +28,7 @@ from .gbfunc import (
     PAryFunction,
     all_points,
     compose,
+    read_text,
     smallest_exponent,
 )
 
@@ -238,8 +239,7 @@ def construction_to_text(spec: MaioranaSpec) -> str:
 
 
 def load_construction(path: str) -> MaioranaSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_construction_text(fh.read())
+    return parse_construction_text(read_text(path))
 
 
 def built_function_doc(spec: MaioranaSpec) -> FunctionDoc:

@@ -265,9 +265,17 @@ def function_to_text(doc: FunctionDoc) -> str:
     return json.dumps(payload, separators=(", ", ": ")) + "\n"
 
 
-def load_function(path: str) -> FunctionDoc:
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; FunctionFormatError if it is not."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_function_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FunctionFormatError(f"not UTF-8 text: {e}") from None
+
+
+def load_function(path: str) -> FunctionDoc:
+    return parse_function_text(read_text(path))
 
 
 def save_function(doc: FunctionDoc, path: str) -> None:

@@ -12,27 +12,29 @@ One engine computes every spectrum, and two independent paths check it:
                       int holding q counts of b bits each, with 2^b > p^n
                       (Kronecker substitution), so multiplying by zeta_p^t is
                       a cyclic rotation and the butterfly adds are native
-                      bigint adds. One sparse step then maps every count to
-                      the canonical form of its power of zeta_M.
-                      wht_pary_fast is the same engine for p-ary functions,
-                      with the values embedded in a caller-chosen ring.
+                      bigint adds. Point x starts as one count at slot f(x).
+                      One sparse step then maps every count to the canonical
+                      form of its power of zeta_M. wht_pary_fast is the same
+                      engine for p-ary functions, with the values embedded
+                      in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
                       oracle the tests compare the engine against.
-  * wht_composed    - the paper's composition identity: assembles the
-                      spectrum of a composed function from the spectra of
-                      its C = p^(k-1) digit combinations, weighted by the
-                      carry coefficients gamma_a and divided exactly by
-                      p^(k-1). It equals wht_naive only if the identity holds.
+  * wht_composed    - the paper's composition identity
+                      S_f = (1/C) sum_a gamma_a S_a over the C = p^(k-1)
+                      digit combinations, through the carry coefficients
+                      gamma_a. It equals wht_naive only if the identity holds.
 
-All C combination spectra of a component tuple come from one run of the
-engine's butterfly (_combination_spectra), over p C slots: combination r
-keeps its Z[Z_p] element in slots e C + r, so multiplying by zeta_p^s is
-one rotation by s C slots for every combination at once. The start element
-at x depends only on the digit vector (f_0(x), ..., f_(k-1)(x)), so it is
-built once per distinct vector. wht_composed and the row criterion in
-classify both read that one butterfly; wht_composed weights slot e C + r
-by zeta_p^e gamma_r, Kronecker-packed in signed slots (cyclotomic), so each
-composed value is one sum of bigint products, unpacked once.
+A component tuple runs the same butterfly over p^k digit slots
+(_digit_spectra): x starts as one count at the big-endian rank of
+(f_0(x), ..., f_(k-1)(x)), and since zeta_p moves only the leading digit,
+slot v_0 C + r at u counts the x with f_0(x) - u.x = v_0 mod p whose lower
+digits have rank r. Slice r, the p counts at slots r, r + C, ..., read as an
+element of Z[zeta_p], is the inverse Hadamard transform at row r of the
+vector of combination spectra (S_a(u))_a. The row test in classify reads
+the slices (_digit_slices); wht_composed sums the other way round, weighting
+slot v_0 C + r by zeta_p^(v_0) w_r with w_r = inverse_wht of the gamma table
+at r, Kronecker-packed in signed slots (cyclotomic), so each composed value
+is one sum of bigint products, unpacked once.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import lshift, mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cyclotomic import (
     CycInt,
@@ -172,67 +174,69 @@ def _group_ring_butterfly(
     return vals
 
 
-def _fast_spectrum(
-    p: int, n: int, q: int, table: Sequence[int], modulus: int
-) -> Spectrum:
-    # Point x contributes the single count zeta_q^(f(x)). Counts are
-    # nonnegative and sum to p^n, so slots of the fewest bytes above p^n
-    # never carry.
-    nbytes = _slot_bytes(p**n)
-    bits = 8 * nbytes
-    packed = _group_ring_butterfly(p, q, nbytes, [1 << (v * bits) for v in table], -1)
-    step = modulus // q
-    # Spectral values repeat (a gbent spectrum takes at most 4q), so each
-    # distinct element is canonicalized once.
-    canonical: dict[int, CycInt] = {}
-    values = []
-    for v in packed:
-        value = canonical.get(v)
-        if value is None:
-            value = canonical[v] = _counts_to_cycint(
-                modulus, _slot_counts(v, q, nbytes), step
-            )
-        values.append(value)
-    return Spectrum(p, n, q, modulus, tuple(values))
+def _count_butterfly(
+    p: int, n: int, slots: int, table: Sequence[int]
+) -> tuple[list[int], int]:
+    """sum_x zeta_p^(-u.x) zeta_slots^(table[x]) at every point u, packed.
 
-
-def _combination_spectra(t: ComponentTuple) -> tuple[list[int], int]:
-    """Every digit-combination spectrum at every point, in one butterfly.
-
-    With C = p^(k-1) combinations f_0 + sum_i a_i f_i mod p, ranked by the
-    big-endian rank r of a, slot e C + r of point u counts zeta_p^e in the
-    spectrum of combination r at u (see the module docstring). Each
-    combination's counts sum to p^n, so slots sized as for one spectrum
+    Point x starts as the single count at slot table[x]. Counts are
+    nonnegative and sum to p^n, so slots of the fewest bytes above p^n
     never carry. Returns the packed elements in point-index order and the
     slot bytes.
     """
-    p, n = t.p, t.n
-    combos = p ** (t.k - 1)
     nbytes = _slot_bytes(p**n)
     bits = 8 * nbytes
-    starts: dict[tuple[int, ...], int] = {}
-    vals = []
-    for digit_vector in zip(*(c.table for c in t.components)):
-        start = starts.get(digit_vector)
-        if start is None:
-            # Each further digit d takes rank r to r p + a_i and adds a_i d.
-            values = [digit_vector[0]]
-            for d in digit_vector[1:]:
-                values = [(v + ai * d) % p for v in values for ai in range(p)]
-            start = starts[digit_vector] = sum(
-                1 << ((v * combos + r) * bits) for r, v in enumerate(values)
-            )
-        vals.append(start)
-    return _group_ring_butterfly(p, p * combos, nbytes, vals, -1), nbytes
+    starts = [1 << (v * bits) for v in table]
+    return _group_ring_butterfly(p, slots, nbytes, starts, -1), nbytes
 
 
-def _combination_counts(
-    packed: int, p: int, combos: int, nbytes: int
-) -> list[Sequence[int]]:
-    """The p slot counts of each combination, in rank order, of one packed
-    element of _combination_spectra."""
-    slots = _slot_counts(packed, p * combos, nbytes)
-    return [slots[r::combos] for r in range(combos)]
+def _per_distinct(items: Sequence, convert: Callable) -> tuple:
+    """convert(v) for every v of items, computed once per distinct v.
+
+    Spectra repeat their values (a gbent spectrum takes at most 4q), and
+    so do the packed elements they come from.
+    """
+    done = {v: convert(v) for v in dict.fromkeys(items)}
+    return tuple(done[v] for v in items)
+
+
+def _fast_spectrum(
+    p: int, n: int, q: int, table: Sequence[int], modulus: int
+) -> Spectrum:
+    packed, nbytes = _count_butterfly(p, n, q, table)
+    step = modulus // q
+    values = _per_distinct(
+        packed, lambda v: _counts_to_cycint(modulus, _slot_counts(v, q, nbytes), step)
+    )
+    return Spectrum(p, n, q, modulus, values)
+
+
+def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
+    """The engine's butterfly over the p^k digit slots of a component tuple,
+    x starting at the big-endian rank of (f_0(x), ..., f_(k-1)(x)) (see the
+    module docstring). Returns the packed elements and the slot bytes.
+    """
+    ranks = [0] * t.p**t.n
+    for c in t.components:
+        ranks = [r * t.p + d for r, d in zip(ranks, c.table)]
+    return _count_butterfly(t.p, t.n, t.p**t.k, ranks)
+
+
+def _digit_slices(
+    t: ComponentTuple,
+) -> tuple[list[int], Callable[[int], list[Sequence[int]]]]:
+    """The packed digit spectra of every point, and the reader of the C
+    slices of one of them: slice r is the p counts at slots r, r + C, ...,
+    r + (p-1) C, and stands for sum_(v_0) counts[v_0] zeta_p^(v_0).
+    """
+    combos = t.p ** (t.k - 1)
+    packed, nbytes = _digit_spectra(t)
+
+    def read(v: int) -> list[Sequence[int]]:
+        counts = _slot_counts(v, t.p * combos, nbytes)
+        return [counts[r::combos] for r in range(combos)]
+
+    return packed, read
 
 
 def wht_fast(f: GBFunction) -> Spectrum:
@@ -378,54 +382,53 @@ def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaT
 
 @lru_cache(maxsize=32)
 def _gamma_weights(p: int, k: int, q: int, points: int) -> tuple[int, tuple[int, ...]]:
-    """zeta_p^e gamma_r for every slot e C + r of _combination_spectra.
+    """zeta_p^(v_0) w_r for every digit slot v_0 C + r of _digit_spectra.
 
-    Each weight is the canonical form of the product in Z[zeta_M],
-    Kronecker-packed by _pack_signed. The slot counts of one point sum to
-    C points, so slots above 2 C points max|coefficient| hold any sum of
-    the weights times those counts. Returns the slot bytes and the weights.
+    w_r = (1/C) sum_a zeta_p^(a.v') gamma_a, with v' the digits of rank r,
+    is inverse_wht of the gamma table over Z_p^(k-1); a remainder in its
+    division by C means the gamma table is wrong. Each weight is the
+    canonical form of the product in Z[zeta_M], Kronecker-packed by
+    _pack_signed. The slot counts of one point sum to p^n = points, so
+    slots above 2 points max|coefficient| hold any sum of the weights times
+    those counts. Returns the slot bytes and the weights.
     """
     modulus = lcm(4, q)
     step = modulus // p
     gammas = gamma_table(p, k, q).entries.values()
-    products = [root(modulus, e * step) * g for e in range(p) for g in gammas]
-    bound = len(gammas) * points * max(abs(c) for g in products for c in g.coeffs)
+    try:
+        rows = inverse_wht(Spectrum(p, k - 1, q, modulus, tuple(gammas)))
+    except ExactDivisionError as e:
+        raise InternalConsistencyError(
+            f"gamma table not divisible by p^(k-1): {e}"
+        ) from None
+    products = [root(modulus, e * step) * w for e in range(p) for w in rows]
+    bound = points * max(abs(c) for w in products for c in w.coeffs)
     nbytes = _slot_bytes(2 * bound)
-    return nbytes, tuple(_pack_signed(g.coeffs, nbytes) for g in products)
+    return nbytes, tuple(_pack_signed(w.coeffs, nbytes) for w in products)
 
 
 def wht_composed(t: ComponentTuple) -> Spectrum:
-    """Spectrum of compose(t) assembled from its digit-combination spectra.
+    """Spectrum of compose(t) assembled through the gamma coefficients.
 
-    S_f(u) = (1/p^(k-1)) sum_a S_(f_0 + sum a_i f_i)(u) gamma_a, with the
-    gamma table shared across all u. Slot e C + r of the one butterfly
-    (_combination_spectra) counts zeta_p^e in the spectrum of combination r,
-    so C S_f(u) is the sum of those counts times the packed canonical form
-    of zeta_p^e gamma_r (_gamma_weights): a linear combination of bigints,
-    unpacked once per distinct point into canonical coefficients and divided
-    exactly by C = p^(k-1). Equal entrywise to wht_naive(compose(t)).
+    The composition identity is S_f(u) = (1/C) sum_a gamma_a S_a(u), where
+    S_a is the spectrum of the combination f_0 + sum a_i f_i and
+    C = p^(k-1). Expanding each S_a over the digit counts of _digit_spectra
+    and summing over a first gives S_f(u) = sum over slots v_0 C + r of the
+    count times zeta_p^(v_0) w_r (_gamma_weights): one linear combination
+    of packed bigints per distinct point, unpacked once into canonical
+    coefficients. Equal entrywise to wht_naive(compose(t)).
     """
     p, k, q = t.p, t.k, t.q
     modulus = lcm(4, q)
-    combos = p ** (k - 1)
     degree = _context(modulus).degree
     wbytes, weights = _gamma_weights(p, k, q, p**t.n)
-    packed, nbytes = _combination_spectra(t)
-    canonical: dict[int, CycInt] = {}
-    values = []
-    for u, v in enumerate(packed):
-        value = canonical.get(v)
-        if value is None:
-            total = sum(map(mul, _slot_counts(v, p * combos, nbytes), weights))
-            scaled = CycInt(modulus, _unpack_signed(total, degree, wbytes))
-            try:
-                value = canonical[v] = scaled.divide_exact(combos)
-            except ExactDivisionError as e:
-                raise InternalConsistencyError(
-                    f"composed spectrum not divisible by p^(k-1) at point {u}: {e}"
-                ) from None
-        values.append(value)
-    return Spectrum(t.p, t.n, t.q, modulus, tuple(values))
+    packed, nbytes = _digit_spectra(t)
+
+    def assemble(v: int) -> CycInt:
+        total = sum(map(mul, _slot_counts(v, p**k, nbytes), weights))
+        return CycInt(modulus, _unpack_signed(total, degree, wbytes))
+
+    return Spectrum(t.p, t.n, t.q, modulus, _per_distinct(packed, assemble))
 
 
 # -- spectrum dump format ------------------------------------------------------
@@ -438,15 +441,10 @@ def spectrum_records(s: Spectrum) -> list[tuple[tuple[int, ...], str, str]]:
     (always the case for gbent-shaped values); otherwise it falls back to
     the canonical polynomial text.
     """
-    points = all_points(s.p, s.n)
-    # Spectral values repeat: render each distinct value and its norm once.
-    texts: dict[CycInt, tuple[str, str]] = {}
-    out = []
-    for u, val in enumerate(s.values):
-        pair = texts.get(val)
-        if pair is None:
-            norm = val.norm_sq()
-            norm_text = str(norm.as_int()) if norm.is_rational_integer() else str(norm)
-            pair = texts[val] = (str(val), norm_text)
-        out.append((points[u], *pair))
-    return out
+
+    def render(val: CycInt) -> tuple[str, str]:
+        norm = val.norm_sq()
+        return str(val), str(norm.as_int()) if norm.is_rational_integer() else str(norm)
+
+    pairs = _per_distinct(s.values, render)
+    return [(u, *pair) for u, pair in zip(all_points(s.p, s.n), pairs)]

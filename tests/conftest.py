@@ -29,3 +29,35 @@ def random_tuple(rng, p, n, q, k):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def random_spec(rng, p, m, q):
+    from gbent import AffineSpec, MaioranaSpec
+    from gbent.gbfunc import smallest_exponent
+
+    k = smallest_exponent(p, q)
+    return MaioranaSpec(
+        p=p, m=m, q=q,
+        beta=tuple(rng.randrange(1, p) for _ in range(m)),
+        affines=tuple(
+            AffineSpec(rng.randrange(p), tuple(rng.randrange(p) for _ in range(m)))
+            for _ in range(k - 1)
+        ),
+    )
+
+
+def component_vectors(t):
+    """Per-point vectors of digit-combination spectra, indexed [u][rank of a].
+
+    The oracle for the row table: each combination f_0 + sum a_i f_i is
+    built with combine and transformed on its own by wht_pary_fast.
+    """
+    from math import lcm
+
+    from gbent import combine, index_point, wht_pary_fast
+
+    spectra = [
+        wht_pary_fast(combine(t, index_point(t.p, t.k - 1, r)), lcm(4, t.p)).values
+        for r in range(t.p ** (t.k - 1))
+    ]
+    return list(zip(*spectra))

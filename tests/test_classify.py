@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -9,7 +10,6 @@ from gbent import (
     PAryFunction,
     all_points,
     build_maiorana,
-    combine,
     compose,
     component_row_table,
     example_maiorana_q21,
@@ -17,7 +17,6 @@ from gbent import (
     expected_alphas,
     hadamard_row,
     hadamard_row_criterion,
-    index_point,
     is_gbent,
     point_index,
     regularity,
@@ -29,11 +28,10 @@ from gbent import (
     wht_composed,
     wht_fast,
     wht_naive,
-    wht_pary_fast,
 )
 from gbent import classify, transform
-from gbent.classify import _component_vectors, alpha_element
-from conftest import rank_vector, random_tuple
+from gbent.classify import alpha_element
+from conftest import component_vectors, rank_vector, random_spec, random_tuple
 
 
 def pary_from(p, n, fn):
@@ -265,15 +263,64 @@ def test_row_decomp_rejects_non_row():
      (3, 2, 21, 3), (3, 5, 27, 3)],
 )
 def test_component_vectors_match_combine(rng, p, n, q, k):
-    # Entry [u][r] is the spectrum of combination r, built one at a time;
-    # at p^n = 243 a one-byte slot is full.
+    # The digit slices are the inverse Hadamard transform of the vector of
+    # combination spectra: transformed back, they give at every point the
+    # spectra of the combinations built one at a time. At p^n = 243 a
+    # one-byte slot is full.
     t = random_tuple(rng, p, n, q, k)
     assert not is_gbent(compose(t))
-    vectors = _component_vectors(t)
-    assert len(vectors) == p**n
-    for r in range(p ** (k - 1)):
-        spectrum = wht_pary_fast(combine(t, index_point(p, k - 1, r)), lcm(4, p))
-        assert [vec[r] for vec in vectors] == list(spectrum.values)
+    modulus = lcm(4, p)
+    rows = [hadamard_row(p, k, r, modulus) for r in range(p ** (k - 1))]
+    packed, read = transform._digit_slices(t)
+    vectors = component_vectors(t)
+    assert len(packed) == len(vectors) == p**n
+    for v, vector in zip(packed, vectors):
+        s = [transform._counts_to_cycint(modulus, c, modulus // p) for c in read(v)]
+        for a, value in enumerate(vector):
+            total = CycInt.zero(modulus)
+            for row, s_r in zip(rows, s):
+                total = total + row[a] * s_r
+            assert total == value
+
+
+@pytest.mark.parametrize(
+    "p,n,q,k",
+    [(3, 2, 3, 1), (3, 2, 9, 2), (3, 2, 27, 3), (5, 2, 125, 3), (3, 2, 15, 3),
+     (3, 2, 21, 3), (3, 2, 105, 5), (5, 2, 105, 3), (3, 5, 27, 3)],
+)
+def test_row_table_matches_row_decomp_random(rng, p, n, q, k):
+    # Random tuples are not gbent: most points have several nonzero slices,
+    # some of them scaled units, and a few points decompose. At p^n = 243 a
+    # one-byte slot is full.
+    for _ in range(3):
+        t = random_tuple(rng, p, n, q, k)
+        assert not is_gbent(compose(t))
+        table = component_row_table(t)
+        assert table == tuple(row_decomp(vec, p, n) for vec in component_vectors(t))
+
+
+def test_row_table_matches_row_decomp_mixed(rng):
+    # Tuples on which some points decompose and others do not.
+    mixed = 0
+    for _ in range(100):
+        t = random_tuple(rng, 3, 2, 9, 2)
+        table = component_row_table(t)
+        assert table == tuple(row_decomp(vec, 3, 2) for vec in component_vectors(t))
+        mixed += 0 < sum(d is not None for d in table) < len(table)
+    assert mixed
+
+
+@pytest.mark.parametrize(
+    "p,m,q",
+    [(3, 1, 3), (3, 1, 9), (3, 2, 27), (5, 1, 125), (3, 2, 15), (3, 2, 21),
+     (3, 1, 105), (7, 1, 49), (7, 1, 105)],
+)
+def test_row_table_matches_row_decomp_gbent(rng, p, m, q):
+    for _ in range(3):
+        t = build_maiorana(random_spec(rng, p, m, q))
+        table = component_row_table(t)
+        assert all(d is not None for d in table)
+        assert table == tuple(row_decomp(vec, p, 2 * m) for vec in component_vectors(t))
 
 
 def _count_calls(monkeypatch, module, name):
@@ -289,16 +336,19 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_butterfly_per_tuple(monkeypatch, tuple_q27):
+    transform._gamma_weights.cache_clear()
     calls = _count_calls(monkeypatch, transform, "_group_ring_butterfly")
+    transform._gamma_weights(3, 3, 27, 81)
+    assert len(calls) == 1  # the cold fill: one inverse butterfly over Z_3^2
     component_row_table(tuple_q27)
-    assert len(calls) == 1
-    wht_composed(tuple_q27)
     assert len(calls) == 2
+    wht_composed(tuple_q27)
+    assert len(calls) == 3
 
 
-def test_row_decomp_once_per_distinct_vector(monkeypatch, tuple_q27):
-    distinct = set(_component_vectors(tuple_q27))
-    calls = _count_calls(monkeypatch, classify, "row_decomp")
+def test_slice_test_once_per_distinct_packed_output(monkeypatch, tuple_q27):
+    distinct = set(transform._digit_spectra(tuple_q27)[0])
+    calls = _count_calls(monkeypatch, classify, "_slice_decomp")
     decomps = component_row_table(tuple_q27)
     assert len(calls) == len(distinct) < len(decomps)
     assert all(d is not None for d in decomps)
@@ -306,7 +356,7 @@ def test_row_decomp_once_per_distinct_vector(monkeypatch, tuple_q27):
 
 def test_row_reconstruction_round_trip(tuple_q27):
     # decompositions reproduce the component vectors exactly
-    vectors = _component_vectors(tuple_q27)
+    vectors = component_vectors(tuple_q27)
     decomps = component_row_table(tuple_q27)
     modulus = vectors[0][0].modulus
     scale = sqrt_p_power(3, 4, modulus)
@@ -359,6 +409,23 @@ def test_weak_regularity_certificate_verifies_dual(tuple_q21):
     for u in range(81):
         expected = pref * root(s.modulus, cert.dual.table[u] * (s.modulus // 21))
         assert s.values[u] == expected
+
+
+@pytest.mark.parametrize("u", [0, 80])
+def test_certificate_refused_on_perturbed_spectrum(monkeypatch, tuple_q21, u):
+    # One spectral value moved to another unit of the right shape: the rows
+    # still decompose, but the dual no longer reproduces the spectrum.
+    real = classify.wht_fast
+
+    def perturbed(f):
+        s = real(f)
+        values = list(s.values)
+        values[u] = values[u] * root(s.modulus, s.modulus // s.q)
+        return replace(s, values=tuple(values))
+
+    assert weak_regularity_certificate(tuple_q21) is not None
+    monkeypatch.setattr(classify, "wht_fast", perturbed)
+    assert weak_regularity_certificate(tuple_q21) is None
 
 
 def test_certificate_k1_reduces_to_pary_matching():
@@ -415,7 +482,7 @@ def test_row_criterion_positive_cases_have_bent_components(rng):
     # whenever the criterion holds, every digit combination is p-ary bent
     for t in _random_gbent_tuples(rng, 10):
         assert hadamard_row_criterion(t).holds
-        for vec in _component_vectors(t):
+        for vec in component_vectors(t):
             for value in vec:
                 assert value.norm_sq() == 9
 

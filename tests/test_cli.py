@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +202,43 @@ def test_output_file_written(capsys, tmp_path, q27_file):
     assert code == 0
     assert out == ""
     assert "verdict: gbent" in out_path.read_text()
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+GOLDEN_CASES = json.loads((GOLDEN_DIR / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_cli_output_matches_golden(capsys, monkeypatch, case):
+    # Inputs and recorded stdout live side by side; the argv names inputs
+    # relative to that directory.
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "q27_bytes, needle",
+    [(b"0 0 0 0 +1 x 0\n", "table_q27.txt:1: invalid literal"),
+     (b"0 0 0 3 +1 0 0\n", "table_q27.txt:1: coordinate 3 out of range"),
+     (b"\xff\xfe\x7b", "table_q27.txt: not UTF-8")],
+    ids=["non-integer-field", "coordinate-outside-Zp", "not-utf8"],
+)
+def test_tables_malformed_golden_exit_two(capsys, tmp_path, q27_bytes, needle):
+    golden_dir = tmp_path / "golden"
+    golden_dir.mkdir()
+    (golden_dir / "table_q27.txt").write_bytes(q27_bytes)
+    write(golden_dir / "table_q21.txt", "0 0 0 0 +1 0 1\n")
+    code, out, err = run(capsys, "tables", "--golden", str(golden_dir))
+    assert code == 2 and out == ""
+    assert needle in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "construct"])
+def test_non_utf8_input_exit_two(capsys, tmp_path, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert "UTF-8" in err

@@ -23,20 +23,7 @@ from gbent import (
     weak_regularity_certificate,
     wht_naive,
 )
-
-
-def random_spec(rng, p, m, q):
-    from gbent.gbfunc import smallest_exponent
-
-    k = smallest_exponent(p, q)
-    return MaioranaSpec(
-        p=p, m=m, q=q,
-        beta=tuple(rng.randrange(1, p) for _ in range(m)),
-        affines=tuple(
-            AffineSpec(rng.randrange(p), tuple(rng.randrange(p) for _ in range(m)))
-            for _ in range(k - 1)
-        ),
-    )
+from conftest import random_spec
 
 
 def test_example_q27_tables():

@@ -292,9 +292,8 @@ def test_composed_equals_naive_oracle(rng):
 
 @pytest.mark.parametrize("p,n,q,k", [(3, 5, 9, 2), (5, 3, 125, 3), (3, 5, 105, 5)])
 def test_composed_constant_function(p, n, q, k):
-    # Before the division by p^(k-1), S(0) of a constant function holds
-    # p^(k-1) p^n in its coefficients: the largest value a slot of the packed
-    # composed sum must hold.
+    # S(0) of a constant function holds p^n times a weight's coefficients:
+    # the largest value a slot of the packed composed sum must hold.
     t = ComponentTuple(p, n, q, tuple(
         PAryFunction(p, n, (d % p,) * p**n) for d in range(1, k + 1)
     ))
