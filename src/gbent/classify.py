@@ -22,8 +22,9 @@ alpha certifies weak regularity and produces the dual
 f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
 against the directly computed spectrum. component_row_table never forms
 the vector: it tests the vector's inverse transform, the digit slices of
-transform's butterfly, for one nonzero slice. row_decomp decomposes an
-explicit vector and is the oracle the tests compare it against.
+transform's butterfly, for one nonzero slice, on the packed element, and
+matches only that slice. row_decomp decomposes an explicit vector and is
+the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
 from .gbfunc import ComponentTuple, GBFunction, all_points, compose, index_point
 from .transform import (
+    LoneSlice,
     Spectrum,
     _counts_to_cycint,
     _digit_slices,
@@ -266,24 +268,23 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     return tuple(root(modulus, e * step) for e in _hadamard_exponents(p, k - 1)[row])
 
 
-def _slice_decomp(
-    slices: Sequence[Sequence[int]], p: int, n: int, k: int
-) -> Optional[RowDecomp]:
-    """The row decomposition of one point, read off its digit slices.
+def _slice_decomp(lone: LoneSlice, p: int, n: int, k: int) -> Optional[RowDecomp]:
+    """The row decomposition of one point, read off its lone nonzero slice.
 
     Slice r is the inverse Hadamard transform of the combination-spectrum
     vector at row r (transform._digit_slices), so the vector is
     alpha zeta_p^j times row r exactly when slice r is the only nonzero
     slice and equals p^(n/2) alpha zeta_p^j. Slice counts c_0, ..., c_(p-1)
     stand for sum_e c_e zeta_p^e, which is zero exactly when all c_e are
-    equal: 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only relation.
+    equal: 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only relation. lone
+    is (r, the counts of slice r) from the slice reader, or None when no
+    slice or more than one is nonzero.
     """
-    nonzero = [r for r, s in enumerate(slices) if min(s) != max(s)]
-    if len(nonzero) != 1:
+    if lone is None:
         return None
-    row = nonzero[0]
+    row, counts = lone
     modulus = lcm(4, p)
-    value = _counts_to_cycint(modulus, slices[row], modulus // p)
+    value = _counts_to_cycint(modulus, counts, modulus // p)
     hit = _unit_candidates(p, n, p, modulus).get(value)
     if hit is None:
         return None

@@ -4,7 +4,7 @@ Subcommands:
 
   analyze    classify a function file (gbent / regular / weakly regular),
              with a per-point (alpha, j, r, dual) table when applicable;
-             exit 0 on gbent, 1 otherwise, 2 on input errors.
+             exit 0 on gbent, 1 otherwise, 2 on input or output errors.
   construct  build a function file from a construction spec file.
   tables     recompute the bundled reference row-decomposition tables and
              diff them against the golden files; exit 1 on any mismatch.
@@ -13,8 +13,9 @@ Subcommands:
   selftest   run the built-in invariant suites.
 
 Output is written to --output (or stdout), byte-deterministic for a given
-input, format, and seed. On input errors nothing is written to the output
-stream; the diagnostic goes to stderr.
+input, format, and seed. On input errors, and when --output cannot be
+written, every subcommand exits 2 and writes nothing to stdout; the
+diagnostic goes to stderr.
 """
 
 from __future__ import annotations
@@ -51,13 +52,23 @@ def _fmt_point(u: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in u) + ")"
 
 
-def _write_output(lines: list[str], path: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
+def _lines_text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _write_output(command: str, text: str, path: Optional[str], code: int) -> int:
+    """Write text to path (stdout without one) and return code, or return 2
+    once a failure to write is reported on stderr."""
+    if not path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print(f"{command}: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        return 2
+    return code
 
 
 def _load_input(command: str, load, path: str):
@@ -133,8 +144,7 @@ def cmd_analyze(args) -> int:
     if doc is None:
         return 2
     lines, ok = _analyze_lines(doc, args.format)
-    _write_output(lines, args.output)
-    return 0 if ok else 1
+    return _write_output("analyze", _lines_text(lines), args.output, 0 if ok else 1)
 
 
 # -- construct -------------------------------------------------------------------
@@ -144,14 +154,8 @@ def cmd_construct(args) -> int:
     spec = _load_input("construct", load_construction, args.input)
     if spec is None:
         return 2
-    doc = built_function_doc(spec)
-    text = function_to_text(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    text = function_to_text(built_function_doc(spec))
+    return _write_output("construct", text, args.output, 0)
 
 
 # -- tables ----------------------------------------------------------------------
@@ -271,8 +275,7 @@ def cmd_tables(args) -> int:
     except (OSError, FunctionFormatError) as e:
         print(f"tables: {e}", file=sys.stderr)
         return 2
-    _write_output(lines, args.output)
-    return 1 if any_mismatch else 0
+    return _write_output("tables", _lines_text(lines), args.output, 1 if any_mismatch else 0)
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -295,8 +298,7 @@ def cmd_spectrum(args) -> int:
     else:
         for u, text, norm in spectrum_records(s):
             lines.append(f"{','.join(str(v) for v in u)}\t{text}\t{norm}")
-    _write_output(lines, args.output)
-    return 0
+    return _write_output("spectrum", _lines_text(lines), args.output, 0)
 
 
 # -- enumerate -------------------------------------------------------------------
@@ -328,8 +330,7 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _write_output(lines, args.output)
-    return 0
+    return _write_output("enumerate", _lines_text(lines), args.output, 0)
 
 
 # -- selftest --------------------------------------------------------------------
@@ -351,8 +352,7 @@ def cmd_selftest(args) -> int:
     lines.append(
         f"selftest: {len(lines) - failures}/{len(lines)} suites passed (seed={args.seed})"
     )
-    _write_output(lines, args.output)
-    return 0 if failures == 0 else 1
+    return _write_output("selftest", _lines_text(lines), args.output, 0 if failures == 0 else 1)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ One engine computes every spectrum, and two independent paths check it:
                       (Kronecker substitution), so multiplying by zeta_p^t is
                       a cyclic rotation and the butterfly adds are native
                       bigint adds. Point x starts as one count at slot f(x).
-                      One sparse step then maps every count to the canonical
-                      form of its power of zeta_M. wht_pary_fast is the same
-                      engine for p-ary functions, with the values embedded
-                      in a caller-chosen ring.
+                      Within a pass, groups with equal inputs are computed
+                      once and share their outputs; structured inputs
+                      repeat many. One sparse step then maps every count
+                      to the canonical form of its power of zeta_M.
+                      wht_pary_fast is the same engine for p-ary functions,
+                      with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
                       oracle the tests compare the engine against.
   * wht_composed    - the paper's composition identity
@@ -30,11 +32,15 @@ A component tuple runs the same butterfly over p^k digit slots
 slot v_0 C + r at u counts the x with f_0(x) - u.x = v_0 mod p whose lower
 digits have rank r. Slice r, the p counts at slots r, r + C, ..., read as an
 element of Z[zeta_p], is the inverse Hadamard transform at row r of the
-vector of combination spectra (S_a(u))_a. The row test in classify reads
-the slices (_digit_slices); wht_composed sums the other way round, weighting
-slot v_0 C + r by zeta_p^(v_0) w_r with w_r = inverse_wht of the gamma table
-at r, Kronecker-packed in signed slots (cyclotomic), so each composed value
-is one sum of bigint products, unpacked once.
+vector of combination spectra (S_a(u))_a. The row test in classify needs
+only the lone nonconstant slice, which _digit_slices finds on the packed
+element v: slot e of v XOR (v rotated by C slots) is nonzero exactly when
+count e differs from count e - C, so in the OR of its p blocks of C slots,
+slot r is nonzero exactly when slice r is not constant. Only a lone such
+slice is unpacked. wht_composed sums the other way round, weighting slot
+v_0 C + r by zeta_p^(v_0) w_r with w_r = inverse_wht of the gamma table at
+r, Kronecker-packed in signed slots (cyclotomic), so each composed value is
+one sum of bigint products, unpacked once.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -154,22 +160,46 @@ def _group_ring_butterfly(
     The kernel zeta_p^(sign t d) = zeta_slots^((sign t d mod p) slots/p) is
     a cyclic rotation of the slots: shift left, then fold the bits above
     the top slot back onto the bottom one. Point-index order in and out.
+
+    A group's p outputs depend only on its p inputs (the kernel is fixed for
+    the call), so each pass memoizes them by the tuple of inputs, and groups
+    with equal inputs share the same output objects. Structured inputs,
+    such as constructed functions, repeat many groups; dense random ones
+    stop repeating after a pass or two. The memo is dropped at the end of
+    each pass, so it holds at most p^n / p keys, and after a pass in which
+    no group repeats, the rest of the call runs without it.
     """
     size = len(vals)
     bits = 8 * nbytes
     width = slots * bits
     mask = (1 << width) - 1
     unit = (slots // p) * bits
-    kernel = [[((sign * t * d) % p) * unit for d in range(p)] for t in range(p)]
+    kernel = [[((sign * t * d) % p) * unit for d in range(p)] for t in range(1, p)]
+
+    def group(olds: list[int]) -> list[int]:
+        outs = [sum(olds)]  # t = 0 rotates nothing, so nothing folds
+        for shifts in kernel:
+            acc = sum(map(lshift, olds, shifts))
+            outs.append((acc & mask) + (acc >> width))
+        return outs
+
+    memo = True
     stride = 1
     while stride < size:
         span = stride * p
+        seen: dict[tuple[int, ...], list[int]] = {}
         for start in range(0, size, span):
             for base in range(start, start + stride):
                 olds = vals[base : base + span : stride]
-                for t, shifts in enumerate(kernel):
-                    acc = sum(map(lshift, olds, shifts))
-                    vals[base + t * stride] = (acc & mask) + (acc >> width)
+                if memo:
+                    key = tuple(olds)
+                    outs = seen.get(key)
+                    if outs is None:
+                        outs = seen[key] = group(olds)
+                else:
+                    outs = group(olds)
+                vals[base : base + span : stride] = outs
+        memo = memo and len(seen) < size // p
         stride = span
     return vals
 
@@ -179,14 +209,15 @@ def _count_butterfly(
 ) -> tuple[list[int], int]:
     """sum_x zeta_p^(-u.x) zeta_slots^(table[x]) at every point u, packed.
 
-    Point x starts as the single count at slot table[x]. Counts are
-    nonnegative and sum to p^n, so slots of the fewest bytes above p^n
-    never carry. Returns the packed elements in point-index order and the
-    slot bytes.
+    Point x starts as the single count at slot table[x], one shared object
+    per slot. Counts are nonnegative and sum to p^n, so slots of the fewest
+    bytes above p^n never carry. Returns the packed elements in
+    point-index order and the slot bytes.
     """
     nbytes = _slot_bytes(p**n)
     bits = 8 * nbytes
-    starts = [1 << (v * bits) for v in table]
+    singles = [1 << (e * bits) for e in range(slots)]
+    starts = [singles[v] for v in table]
     return _group_ring_butterfly(p, slots, nbytes, starts, -1), nbytes
 
 
@@ -222,21 +253,52 @@ def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
     return _count_butterfly(t.p, t.n, t.p**t.k, ranks)
 
 
-def _digit_slices(
-    t: ComponentTuple,
-) -> tuple[list[int], Callable[[int], list[Sequence[int]]]]:
-    """The packed digit spectra of every point, and the reader of the C
-    slices of one of them: slice r is the p counts at slots r, r + C, ...,
-    r + (p-1) C, and stands for sum_(v_0) counts[v_0] zeta_p^(v_0).
+LoneSlice = Optional[tuple[int, list[int]]]
+
+
+def _slice_reader(p: int, combos: int, nbytes: int) -> Callable[[int], LoneSlice]:
+    """The reader of the lone nonconstant slice of a packed element.
+
+    The element has p C slots (C = combos) of nbytes bytes; slice r is the
+    p counts at slots r, r + C, ..., r + (p-1) C. The reader returns
+    (r, those counts) when slice r is the only slice whose counts are not
+    all equal, and None otherwise. It unpacks no other slot: slot e of
+    D = v XOR (v rotated by C slots) is nonzero exactly when count e
+    differs from count e - C, so slot r of the OR of the p blocks of C
+    slots of D is nonzero exactly when slice r is not constant.
     """
-    combos = t.p ** (t.k - 1)
+    bits = 8 * nbytes
+    block = combos * bits
+    width = p * block
+    mask = (1 << width) - 1
+    low = (1 << block) - 1
+    slot = (1 << bits) - 1
+
+    def read(v: int) -> LoneSlice:
+        diff = v ^ (((v << block) & mask) | (v >> (width - block)))
+        fold = 0
+        while diff:
+            fold |= diff & low
+            diff >>= block
+        if not fold:
+            return None
+        row = ((fold & -fold).bit_length() - 1) // bits  # lowest nonzero slot
+        if fold >> ((row + 1) * bits):
+            return None
+        v >>= row * bits
+        return row, [(v >> (i * block)) & slot for i in range(p)]
+
+    return read
+
+
+def _digit_slices(t: ComponentTuple) -> tuple[list[int], Callable[[int], LoneSlice]]:
+    """The packed digit spectra of every point, and the _slice_reader of
+    their lone nonconstant slice. Slice r stands for
+    sum_(v_0) counts[v_0] zeta_p^(v_0), which is zero exactly when its
+    counts are equal.
+    """
     packed, nbytes = _digit_spectra(t)
-
-    def read(v: int) -> list[Sequence[int]]:
-        counts = _slot_counts(v, t.p * combos, nbytes)
-        return [counts[r::combos] for r in range(combos)]
-
-    return packed, read
+    return packed, _slice_reader(t.p, t.p ** (t.k - 1), nbytes)
 
 
 def wht_fast(f: GBFunction) -> Spectrum:

@@ -61,3 +61,23 @@ def component_vectors(t):
         for r in range(t.p ** (t.k - 1))
     ]
     return list(zip(*spectra))
+
+
+def all_slices(v, p, k, nbytes):
+    """Every digit slice of a packed element of p^k slots, fully unpacked:
+    slice r is the p counts at slots r, r + C, ..., with C = p^(k-1)."""
+    from gbent.cyclotomic import _slot_counts
+
+    combos = p ** (k - 1)
+    counts = _slot_counts(v, p * combos, nbytes)
+    return [list(counts[r::combos]) for r in range(combos)]
+
+
+def lone_slice(v, p, k, nbytes):
+    """(r, counts) of the only slice whose counts are not all equal, or None;
+    the oracle for the packed slice reader."""
+    slices = all_slices(v, p, k, nbytes)
+    nonconstant = [r for r, s in enumerate(slices) if min(s) != max(s)]
+    if len(nonconstant) != 1:
+        return None
+    return nonconstant[0], slices[nonconstant[0]]

@@ -31,7 +31,7 @@ from gbent import (
 )
 from gbent import classify, transform
 from gbent.classify import alpha_element
-from conftest import component_vectors, rank_vector, random_spec, random_tuple
+from conftest import all_slices, component_vectors, rank_vector, random_spec, random_tuple
 
 
 def pary_from(p, n, fn):
@@ -271,11 +271,12 @@ def test_component_vectors_match_combine(rng, p, n, q, k):
     assert not is_gbent(compose(t))
     modulus = lcm(4, p)
     rows = [hadamard_row(p, k, r, modulus) for r in range(p ** (k - 1))]
-    packed, read = transform._digit_slices(t)
+    packed, nbytes = transform._digit_spectra(t)
     vectors = component_vectors(t)
     assert len(packed) == len(vectors) == p**n
     for v, vector in zip(packed, vectors):
-        s = [transform._counts_to_cycint(modulus, c, modulus // p) for c in read(v)]
+        slices = all_slices(v, p, k, nbytes)
+        s = [transform._counts_to_cycint(modulus, c, modulus // p) for c in slices]
         for a, value in enumerate(vector):
             total = CycInt.zero(modulus)
             for row, s_r in zip(rows, s):

@@ -242,3 +242,25 @@ def test_non_utf8_input_exit_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--input", str(path))
     assert code == 2 and out == ""
     assert "UTF-8" in err
+
+
+OUTPUT_ARGV = {
+    "analyze": ["--input", "{q27}"],
+    "construct": ["--input", "{spec21}"],
+    "tables": [],
+    "spectrum": ["--input", "{q27}"],
+    "enumerate": ["--p", "3", "--n", "1"],
+    "selftest": ["--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGV))
+def test_unwritable_output_exit_two(capsys, tmp_path, q27_file, spec21_file, command, target):
+    # analyze exits 1 on "not gbent", so a failed write must not look like it.
+    path = str(tmp_path / "absent" / "out.txt" if target == "missing-directory" else tmp_path)
+    argv = [a.format(q27=q27_file, spec21=spec21_file) for a in OUTPUT_ARGV[command]]
+    code, out, err = run(capsys, command, *argv, "--output", path)
+    assert (code, out) == (2, "")
+    reason = "No such file or directory" if target == "missing-directory" else "Is a directory"
+    assert err == f"{command}: cannot write {path}: {reason}\n"

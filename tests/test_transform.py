@@ -27,8 +27,22 @@ from gbent import (
     wht_naive,
     wht_pary_fast,
 )
-from gbent.transform import _slot_bytes
-from conftest import rank_vector, random_gbfunction, random_pary, random_tuple
+from gbent.cyclotomic import _pack_slots
+from gbent.transform import (
+    _count_butterfly,
+    _digit_slices,
+    _digit_spectra,
+    _slice_reader,
+    _slot_bytes,
+)
+from conftest import (
+    lone_slice,
+    random_gbfunction,
+    random_pary,
+    random_spec,
+    random_tuple,
+    rank_vector,
+)
 
 # Targets with several prime factors, even ones included.
 GENERAL_Q = (6, 12, 18, 24, 15, 21, 105)
@@ -117,6 +131,110 @@ def test_engine_full_slot(q):
     assert fast.values[0] == 243 * root(fast.modulus, (q - 1) * (fast.modulus // q))
     assert all(v.is_zero() for v in fast.values[1:])
     assert fast.values == wht_naive(f).values
+
+
+def _structured(rng, case):
+    """A function whose butterfly repeats groups: the memo's hit path."""
+    if case == "constant":
+        return GBFunction(3, 4, 27, (5,) * 81)
+    if case == "affine":
+        # 4 + 2 x_1 + 7 x_2 + 3 x_4 into Z_9: the output ignores x_3.
+        w = (2, 7, 0, 3)
+        return GBFunction(3, 4, 9, tuple(
+            (4 + sum(wi * xi for wi, xi in zip(w, x))) % 9 for x in all_points(3, 4)
+        ))
+    p, m, q = {"maiorana-q9": (3, 2, 9), "maiorana-q27": (3, 2, 27),
+               "maiorana-q125": (5, 2, 125), "maiorana-q21": (3, 2, 21)}[case]
+    return compose(build_maiorana(random_spec(rng, p, m, q)))
+
+
+STRUCTURED = ("constant", "affine", "maiorana-q9", "maiorana-q27", "maiorana-q125",
+              "maiorana-q21")
+
+
+@pytest.mark.parametrize("case", STRUCTURED)
+def test_engine_equals_naive_oracle_structured(rng, case):
+    # Equal groups share their output objects, so shared objects among the
+    # outputs show that the memo was hit.
+    f = _structured(rng, case)
+    packed, _ = _count_butterfly(f.p, f.n, f.q, f.table)
+    assert len(set(map(id, packed))) < len(packed)
+    assert wht_fast(f).values == wht_naive(f).values
+
+
+@pytest.mark.parametrize("case", ["maiorana-q27", "maiorana-q21"])
+def test_inverse_round_trip_constructed(rng, case):
+    # A gbent spectrum takes few distinct values, so the inverse butterfly
+    # (sign +1) repeats groups too.
+    f = _structured(rng, case)
+    s = wht_fast(f)
+    assert len(set(s.values)) < len(s.values)
+    assert inverse_wht(s) == tuple(zeta_q(s.modulus, f.q, v) for v in f.table)
+
+
+def _pack_slices(slices, nbytes):
+    """The packed element whose slice r holds slices[r]: slot v_0 C + r is
+    slices[r][v_0]."""
+    return _pack_slots([s[v0] for v0 in range(len(slices[0])) for s in slices], nbytes)
+
+
+# (p, k, nbytes, slices, expected lone slice); slot bytes as the butterfly
+# picks them, and element sums up to p^n.
+CRAFTED_SLICES = {
+    "every-slice-constant": (3, 3, 1, [[r, r, r] for r in range(9)], None),
+    "two-nonconstant": (3, 3, 1, [[1, 1, 1]] * 2 + [[0, 1, 2]] + [[1, 1, 1]] * 3
+                        + [[2, 1, 0]] + [[1, 1, 1]] * 2, None),
+    "lone-at-first": (3, 3, 1, [[4, 1, 1]] + [[r, r, r] for r in range(1, 9)],
+                      (0, [4, 1, 1])),
+    "lone-at-last": (5, 2, 2, [[r] * 5 for r in range(4)] + [[300, 0, 0, 0, 7]],
+                     (4, [300, 0, 0, 0, 7])),
+    "differs-in-last-block": (3, 2, 1, [[6, 6, 6], [6, 6, 7], [6, 6, 6]], (1, [6, 6, 7])),
+    "two-differ-in-last-block": (3, 2, 1, [[6, 6, 5], [6, 6, 7], [6, 6, 6]], None),
+    "k1-lone": (5, 1, 1, [[1, 1, 1, 1, 2]], (0, [1, 1, 1, 1, 2])),
+    "k1-constant": (5, 1, 1, [[3, 3, 3, 3, 3]], None),
+    "full-byte-lone": (3, 3, 1, [[0, 0, 0]] * 4 + [[243, 0, 0]] + [[0, 0, 0]] * 4,
+                       (4, [243, 0, 0])),
+    "full-byte-lone-at-last": (3, 3, 1, [[0, 0, 0]] * 8 + [[0, 243, 0]], (8, [0, 243, 0])),
+    "full-byte-beside-constant": (3, 2, 1, [[81, 81, 81], [0, 0, 81], [0, 0, 0]],
+                                  (1, [0, 0, 81])),
+    "full-byte-two-nonconstant": (3, 2, 1, [[243, 0, 0], [0, 0, 0], [0, 0, 243]], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_SLICES))
+def test_slice_reader_crafted(case):
+    p, k, nbytes, slices, expected = CRAFTED_SLICES[case]
+    assert len(slices) == p ** (k - 1) and all(len(s) == p for s in slices)
+    v = _pack_slices(slices, nbytes)
+    assert lone_slice(v, p, k, nbytes) == expected
+    assert _slice_reader(p, p ** (k - 1), nbytes)(v) == expected
+
+
+def test_slice_reader_random_elements(rng):
+    # Zero, one or two nonconstant slices among constant ones, in every slot
+    # width the butterfly picks for small p^n.
+    for p, k, nbytes in ((3, 1, 1), (3, 2, 1), (3, 4, 2), (5, 2, 1), (5, 3, 2), (7, 2, 1)):
+        combos = p ** (k - 1)
+        read = _slice_reader(p, combos, nbytes)
+        top = 2 ** (8 * nbytes) - 1
+        for _ in range(50):
+            slices = [[rng.randrange(top)] * p for _ in range(combos)]
+            for r in rng.sample(range(combos), min(combos, rng.randrange(3))):
+                slices[r][rng.randrange(p)] = rng.randrange(top)
+            v = _pack_slices(slices, nbytes)
+            assert read(v) == lone_slice(v, p, k, nbytes)
+
+
+@pytest.mark.parametrize("p,n,q,k", [(3, 2, 3, 1), (3, 4, 27, 3), (5, 2, 125, 3),
+                                     (3, 5, 21, 3)])
+def test_slice_reader_on_butterfly_outputs(rng, p, n, q, k):
+    tuples = [random_tuple(rng, p, n, q, k)]
+    if n % 2 == 0:
+        tuples.append(build_maiorana(random_spec(rng, p, n // 2, q)))
+    for t in tuples:
+        packed, nbytes = _digit_spectra(t)
+        read = _digit_slices(t)[1]
+        assert [read(v) for v in packed] == [lone_slice(v, p, k, nbytes) for v in packed]
 
 
 @settings(max_examples=30, deadline=None)
