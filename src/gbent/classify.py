@@ -29,14 +29,20 @@ the oracle the tests compare it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
-from .cyclotomic import CycInt, root, sqrt_p_power
+from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, all_points, compose, index_point
+from .gbfunc import (
+    ComponentTuple,
+    GBFunction,
+    _Record,
+    all_points,
+    compose,
+    index_point,
+)
 from .transform import (
     LoneSlice,
     Spectrum,
@@ -70,13 +76,16 @@ def _unit_candidates(p: int, n: int, q: int, modulus: int):
     collapses (e.g. -1 is itself a power of zeta_q) and the first writer in
     the deterministic alpha-then-j order wins.
     """
-    scale = sqrt_p_power(p, n, modulus)
+    ctx = _context(modulus)
+    terms = [(e, c) for e, c in enumerate(sqrt_p_power(p, n, modulus).coeffs) if c]
     step_q = modulus // q
     table: dict[CycInt, tuple[str, int]] = {}
     for alpha in ALPHAS:
-        prefactor = scale * alpha_element(alpha, modulus)
+        turn = _ALPHA_QUARTER_TURNS[alpha] * (modulus // 4)
         for j in range(q):
-            key = prefactor * root(modulus, j * step_q)
+            # p^(n/2) alpha zeta_q^j rotates every term by alpha's turn + j M/q.
+            shift = turn + j * step_q
+            key = CycInt(modulus, _reduce_terms(ctx, [(e + shift, c) for e, c in terms]))
             if key not in table:
                 table[key] = (alpha, j)
     if q % 2 == 1 and len(table) != 4 * q:
@@ -84,8 +93,7 @@ def _unit_candidates(p: int, n: int, q: int, modulus: int):
     return table
 
 
-@dataclass(frozen=True)
-class GbentReport:
+class GbentReport(_Record):
     """Verdict of the magnitude test, with failing points as witnesses."""
 
     is_gbent: bool
@@ -106,16 +114,14 @@ def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     return GbentReport(not failures, failures, spectrum)
 
 
-@dataclass(frozen=True)
-class SpectralForm:
+class SpectralForm(_Record):
     """One spectral value in normal form: S(u) = p^(n/2) alpha zeta_q^dual."""
 
     alpha: str
     dual: int
 
 
-@dataclass(frozen=True)
-class SpectralFormReport:
+class SpectralFormReport(_Record):
     forms: tuple[Optional[SpectralForm], ...]
     failures: tuple[tuple[int, ...], ...]
     spectrum: Spectrum
@@ -142,21 +148,18 @@ def spectral_form(
     if spectrum is None:
         spectrum = wht_fast(f)
     candidates = _unit_candidates(f.p, f.n, f.q, spectrum.modulus)
-    points = all_points(f.p, f.n)
-    forms: list[Optional[SpectralForm]] = []
-    failures = []
-    for u, value in enumerate(spectrum.values):
+
+    def match(value: CycInt) -> Optional[SpectralForm]:
         hit = candidates.get(value)
-        if hit is None:
-            forms.append(None)
-            failures.append(points[u])
-        else:
-            forms.append(SpectralForm(*hit))
-    return SpectralFormReport(tuple(forms), tuple(failures), spectrum)
+        return None if hit is None else SpectralForm(*hit)
+
+    forms = _per_distinct(spectrum.values, match)
+    points = all_points(f.p, f.n)
+    failures = tuple(u for u, form in zip(points, forms) if form is None)
+    return SpectralFormReport(forms, failures, spectrum)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(_Record):
     """One of: regular, weakly_regular, not_weakly_regular, not_gbent.
 
     A regular function (alpha = +1 everywhere) is in particular weakly
@@ -190,8 +193,7 @@ def regularity(
     return RegularityReport("not_weakly_regular", None, gb, forms)
 
 
-@dataclass(frozen=True)
-class RowDecomp:
+class RowDecomp(_Record):
     """A component-spectrum vector as alpha zeta_p^j times a Hadamard row.
 
     v holds the row digits (big-endian); row = sum_j v_j p^(k-1-j).
@@ -303,8 +305,7 @@ def component_row_table(t: ComponentTuple) -> tuple[Optional[RowDecomp], ...]:
     return _per_distinct(packed, lambda v: _slice_decomp(read(v), t.p, t.n, t.k))
 
 
-@dataclass(frozen=True)
-class RowCriterionReport:
+class RowCriterionReport(_Record):
     """Result of the Hadamard-row test over all points.
 
     For q = p^k this is equivalent to gbent-ness of the composed function:
@@ -331,8 +332,7 @@ def hadamard_row_criterion(t: ComponentTuple) -> RowCriterionReport:
     return RowCriterionReport(not failures, decomps, failures)
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(_Record):
     """A verified weak-regularity witness built from component rows.
 
     S_f(u) = p^(n/2) alpha zeta_q^(dual(u)) holds exactly at every point,

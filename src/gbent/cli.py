@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from typing import Optional, Sequence
 
 from .classify import RowDecomp, component_row_table, is_gbent, regularity
@@ -30,7 +29,6 @@ from .errors import FunctionFormatError
 from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
-    all_points,
     digits,
     function_to_text,
     index_point,
@@ -50,6 +48,19 @@ _REFERENCE_TABLES = {
 
 def _fmt_point(u: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in u) + ")"
+
+
+def _point_labels(p: int, n: int) -> list[str]:
+    """The text "x_1,...,x_n" of every point of Z_p^n, in point-index order.
+
+    Built one coordinate at a time: the labels of n coordinates are those
+    of n - 1, each followed by every digit.
+    """
+    digits = [str(d) for d in range(p)]
+    labels = digits
+    for _ in range(n - 1):
+        labels = [f"{label},{d}" for label in labels for d in digits]
+    return labels
 
 
 def _lines_text(lines: list[str]) -> str:
@@ -126,8 +137,7 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
     if fmt == "text":
         lines.append("per-point spectral data:")
     lines.append("point\talpha\tj\tr\tdual")
-    points = all_points(f.p, f.n)
-    for u in range(len(points)):
+    for u, label in enumerate(_point_labels(f.p, f.n)):
         form = forms.forms[u]
         alpha = form.alpha if form else "-"
         dual = str(form.dual) if form else "-"
@@ -135,7 +145,7 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
             j, r = str(rows[u].j), str(rows[u].row)
         else:
             j = r = "-"
-        lines.append(f"{_fmt_point(points[u])}\t{alpha}\t{j}\t{r}\t{dual}")
+        lines.append(f"({label})\t{alpha}\t{j}\t{r}\t{dual}")
     return lines, True
 
 
@@ -170,6 +180,8 @@ def _load_golden_rows(name: str, golden_dir: Optional[str]):
         except FunctionFormatError as e:
             raise FunctionFormatError(f"{filename}: {e}") from None
     else:
+        from importlib import resources  # only `tables` reads the bundled files
+
         text = resources.files("gbent").joinpath(f"data/{filename}").read_text()
     rows = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -288,16 +300,17 @@ def cmd_spectrum(args) -> int:
     f = doc.function
     s = wht_fast(f)
     lines = []
+    records = zip(_point_labels(f.p, f.n), spectrum_records(s))
     if args.format == "text":
         lines.append(
             f"spectrum: p={f.p} n={f.n} q={f.q} modulus={s.modulus} "
             f"(values are unnormalized, S = p^(n/2) H)"
         )
-        for u, text, norm in spectrum_records(s):
-            lines.append(f"u={_fmt_point(u)} S={text} norm={norm}")
+        for label, (_, text, norm) in records:
+            lines.append(f"u=({label}) S={text} norm={norm}")
     else:
-        for u, text, norm in spectrum_records(s):
-            lines.append(f"{','.join(str(v) for v in u)}\t{text}\t{norm}")
+        for label, (_, text, norm) in records:
+            lines.append(f"{label}\t{text}\t{norm}")
     return _write_output("spectrum", _lines_text(lines), args.output, 0)
 
 

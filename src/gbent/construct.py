@@ -17,7 +17,6 @@ deliberately uses only the naive transform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cyclotomic import is_prime
@@ -26,6 +25,7 @@ from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
     PAryFunction,
+    _Record,
     all_points,
     compose,
     read_text,
@@ -33,16 +33,14 @@ from .gbfunc import (
 )
 
 
-@dataclass(frozen=True)
-class AffineSpec:
+class AffineSpec(_Record):
     """l(x) = c + sum_i w_i x_i over the first m variables."""
 
     c: int
     w: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MaioranaSpec:
+class MaioranaSpec(_Record):
     """Parameters of a quadratic-plus-affine instance on Z_p^(2m) -> Z_q."""
 
     p: int

@@ -10,12 +10,15 @@ with f_0 carrying the highest weight p^(k-1). For general q divisible by p
 which is the one coefficient for which zeta_q^((q/p) f_0) = zeta_p^(f_0);
 decomposing a bare value table is not well-defined in that case, so
 analysis flows for general q start from an explicit component tuple.
+
+The package's records (functions, spectra, reports, construction specs)
+subclass _Record: immutable, compared and hashed by value, and validated
+on construction by their __post_init__.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
@@ -72,8 +75,76 @@ def _validate_params(p: int, n: int, q: int) -> None:
         raise ValueError(f"q must be a positive multiple of p, got q={q}")
 
 
-@dataclass(frozen=True)
-class GBFunction:
+class _Record:
+    """An immutable record whose fields are its class's own annotations.
+
+    Construction takes the fields positionally or by keyword, sets them in
+    order and runs __post_init__, which may validate and normalize them
+    with object.__setattr__. Records compare equal when they are of the
+    same class with equal field values, hash their field values, and
+    refuse every assignment and deletion with AttributeError.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # Field by field, as a plain assignment would store them: filling
+        # __dict__ directly would slow every later attribute read.
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, from positional and keyword arguments."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected field {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for field {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing fields: {', '.join(missing)}")
+        return [values[f] for f in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
+class GBFunction(_Record):
     """A function Z_p^n -> Z_q as a validated truth table."""
 
     p: int
@@ -101,8 +172,7 @@ class GBFunction:
         return self.q == self.p**self.k
 
 
-@dataclass(frozen=True)
-class PAryFunction:
+class PAryFunction(_Record):
     """A function Z_p^n -> Z_p."""
 
     p: int
@@ -124,8 +194,7 @@ class PAryFunction:
         return GBFunction(self.p, self.n, self.p, self.table)
 
 
-@dataclass(frozen=True)
-class ComponentTuple:
+class ComponentTuple(_Record):
     """Digit components (f_0, ..., f_(k-1)) of a function into Z_q."""
 
     p: int
@@ -212,8 +281,7 @@ def combine(t: ComponentTuple, a: Sequence[int]) -> PAryFunction:
 # file round-trips byte for byte.
 
 
-@dataclass(frozen=True)
-class FunctionDoc:
+class FunctionDoc(_Record):
     """A loaded function file: the function plus its components when given."""
 
     function: GBFunction

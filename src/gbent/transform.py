@@ -64,7 +64,6 @@ does not hold, see inverse_wht).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import lshift, mul
@@ -82,11 +81,10 @@ from .cyclotomic import (
     root,
 )
 from .errors import ExactDivisionError, InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points
+from .gbfunc import ComponentTuple, GBFunction, PAryFunction, _Record, all_points
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Unnormalized spectrum of a function Z_p^n -> Z_q, indexed by point."""
 
     p: int
@@ -228,7 +226,7 @@ def _per_distinct(items: Sequence, convert: Callable) -> tuple:
     so do the packed elements they come from.
     """
     done = {v: convert(v) for v in dict.fromkeys(items)}
-    return tuple(done[v] for v in items)
+    return tuple(map(done.__getitem__, items))
 
 
 def _fast_spectrum(
@@ -416,8 +414,7 @@ def gamma_general(
     return _counts_to_cycint(modulus, counts)
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(_Record):
     """All gamma coefficients for fixed (p, k, q), keyed by the vector a in
     big-endian rank order."""
 

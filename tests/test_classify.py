@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -95,6 +94,46 @@ def test_spectral_form_example_q27_origin(tuple_q27):
     assert report.matched_all
     origin = report.forms[point_index(3, (0, 0, 0, 0))]
     assert origin.alpha == "+1" and origin.dual == 0
+
+
+def test_spectral_form_once_per_distinct_value(tuple_q21):
+    f = compose(tuple_q21)
+    report = spectral_form(f)
+    forms = {}
+    for value, form in zip(report.spectrum.values, report.forms):
+        assert forms.setdefault(value, form) is form
+    assert len(forms) < len(report.forms)
+
+
+def test_spectral_form_failures_in_point_order(rng):
+    f = GBFunction(3, 2, 9, tuple(rng.randrange(9) for _ in range(9)))
+    report = spectral_form(f)
+    points = all_points(3, 2)
+    assert report.failures == tuple(u for u, fm in zip(points, report.forms) if fm is None)
+    assert report.failures
+
+
+def _product_candidates(p, n, q, modulus):
+    """_unit_candidates built from 4q ring products, the definition."""
+    scale = sqrt_p_power(p, n, modulus)
+    table = {}
+    for alpha in classify.ALPHAS:
+        prefactor = scale * alpha_element(alpha, modulus)
+        for j in range(q):
+            table.setdefault(prefactor * root(modulus, j * (modulus // q)), (alpha, j))
+    return table
+
+
+@pytest.mark.parametrize(
+    "p,n,q", [(5, 4, 125), (7, 3, 49), (3, 5, 81), (3, 4, 21), (3, 5, 24), (3, 4, 12)]
+)
+def test_unit_candidates_by_rotation_equal_products(p, n, q):
+    modulus = lcm(4, q)
+    rotated = list(classify._unit_candidates(p, n, q, modulus).items())
+    assert rotated == list(_product_candidates(p, n, q, modulus).items())
+    # The units alpha zeta_q^j are the lcm(4, q)-th roots of unity: 4q of
+    # them for odd q, fewer for even q, where -1 is a power of zeta_q.
+    assert len(rotated) == lcm(4, q)
 
 
 def test_alpha_parity_law_on_random_bent(rng):
@@ -422,7 +461,7 @@ def test_certificate_refused_on_perturbed_spectrum(monkeypatch, tuple_q21, u):
         s = real(f)
         values = list(s.values)
         values[u] = values[u] * root(s.modulus, s.modulus // s.q)
-        return replace(s, values=tuple(values))
+        return transform.Spectrum(s.p, s.n, s.q, s.modulus, values)
 
     assert weak_regularity_certificate(tuple_q21) is not None
     monkeypatch.setattr(classify, "wht_fast", perturbed)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gbent import (
+    all_points,
     built_function_doc,
     construction_to_text,
     example_maiorana_q21,
@@ -14,7 +15,7 @@ from gbent import (
     spectrum_records,
     wht_naive,
 )
-from gbent.cli import compare_reference_tables, main
+from gbent.cli import _fmt_point, _point_labels, compare_reference_tables, main
 
 
 def write(path, text):
@@ -109,6 +110,12 @@ def test_compare_reference_tables_api():
     for name in ("q27", "q21"):
         mismatches, labeling = compare_reference_tables(name)
         assert mismatches == [] and labeling == "identity"
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 4), (5, 3), (7, 2)])
+def test_point_labels_in_point_index_order(p, n):
+    labels = _point_labels(p, n)
+    assert ["(" + label + ")" for label in labels] == [_fmt_point(u) for u in all_points(p, n)]
 
 
 def test_spectrum_dump(capsys, tmp_path):
