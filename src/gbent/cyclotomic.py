@@ -11,22 +11,29 @@ a computation needs. For spectra of functions into Z_q the working ring is
 Z[zeta_M] with M = lcm(4, q): it contains zeta_q, zeta_p for any p | q,
 sqrt(-1) = zeta_4, and sqrt(p) through quadratic Gauss sums.
 
-Phi_M is computed once per modulus by the Moebius product
-Phi_M(x) = prod_{d|M} (x^d - 1)^{mu(M/d)} via exact polynomial division.
-Alongside it is cached, for each power zeta_M^0 .. zeta_M^(M-1), only the
-nonzero (index, coefficient) pairs of its canonical form. A power of zeta_M
+Phi_M(x) = Phi_R(x^s), with R = rad(M) the product of the primes of M and
+s = M/R, so one table per modulus comes from Phi_R alone (computed by the
+Moebius product Phi_R(y) = prod_{d|R} (y^d - 1)^{mu(R/d)}): the sparse
+canonical forms of the R powers of y = zeta_M^s, each stepped from the one
+before. The form of zeta_M^(j s + i), i < s, is row j with every index l
+moved to l s + i, and the cache keeps it, for each power zeta_M^0 ..
+zeta_M^(M-1), as its nonzero (index, coefficient) pairs. A power of zeta_M
 reduces to a few basis terms (on average 1.3 at M = 108, 2.7 at M = 84 and
 11 at M = 420, against phi(M) = 36, 24 and 96), so multiplication,
 conjugation, embedding and parsing reduce each exponent by reading a short
-sparse row. All values are immutable; the per-modulus cache is
-initialize-once, read-many.
+sparse row. A packed element of the group ring Z[Z_M] reduces by the same R
+rows in blocks of s slots (_reduce_packed), a bigint product per block, with
+no loop over single exponents. All values are immutable; the per-modulus
+cache is initialize-once, read-many.
 
 A product of dense operands (nnz(a) nnz(b) > phi(M)) is one bigint
 multiply (Kronecker substitution): each operand is packed one coefficient
 per signed slot of one Python int, slots wide enough for every coefficient
 of the product. Sparse operands, such as roots of unity, keep the loop
-over nonzero pairs, which is faster for them. The spectrum engine packs
-its group-ring elements in the same slots, unsigned.
+over nonzero pairs, which is faster for them. A norm z conj(z) is the same
+product of the coefficients with their reversal, an autocorrelation whose
+nonnegative exponents are already canonical. The spectrum engine packs its
+group-ring elements in the same slots, unsigned.
 """
 
 from __future__ import annotations
@@ -129,6 +136,9 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 # Bytes per slot -> the array typecodes (unsigned, signed) with that item size.
 _SLOT_TYPECODES = {array(u).itemsize: (u, s) for u, s in zip("BHILQ", "bhilq")}
+# Bytes needed -> the smallest item size that holds them, up to the largest.
+_ITEM_BYTES = tuple(min(b for b in _SLOT_TYPECODES if b >= max(n, 1))
+                    for n in range(max(_SLOT_TYPECODES) + 1))
 
 
 def _slot_bytes(bound: int) -> int:
@@ -137,8 +147,8 @@ def _slot_bytes(bound: int) -> int:
     Rounded up to an array item size when one is wide enough, so that
     packing and unpacking run through array.
     """
-    nbytes = max(1, -(-bound.bit_length() // 8))
-    return min((b for b in _SLOT_TYPECODES if b >= nbytes), default=nbytes)
+    nbytes = -(-bound.bit_length() // 8)
+    return _ITEM_BYTES[nbytes] if nbytes < len(_ITEM_BYTES) else nbytes
 
 
 def _raw_slots(values: Sequence[int], nbytes: int, signed: bool) -> bytes:
@@ -206,45 +216,158 @@ def _unpack_signed(packed: int, slots: int, nbytes: int) -> Sequence[int]:
     return _read_slots(raw, nbytes, True)
 
 
-class _Context:
-    """Per-modulus tables: Phi_M and the sparse canonical form of each power.
+def _convolve(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """The coefficients of the polynomial product of a and b, len(a) = len(b).
 
-    sparse_powers[e] lists the nonzero (index, coefficient) pairs of the
-    canonical form of zeta_M^e, for 0 <= e < M. Any exponent reduces
-    through sparse_powers[e % M].
+    Dense operands (nnz(a) nnz(b) > len(a)) take one bigint product of
+    their signed packings, in slots above twice the largest product
+    coefficient; sparse ones, such as roots of unity, loop over their
+    nonzero pairs.
+    """
+    deg = len(a)
+    nnz_a = deg - a.count(0)
+    nnz_b = deg - b.count(0)
+    if nnz_a * nnz_b > deg:
+        bound = min(nnz_a, nnz_b) * max(max(a), -min(a)) * max(max(b), -min(b))
+        nbytes = _slot_bytes(2 * bound)
+        product = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
+        return _unpack_signed(product, 2 * deg - 1, nbytes)
+    conv = [0] * (2 * deg - 1)
+    terms_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in terms_b:
+                conv[i + j] += ai * bj
+    return conv
+
+
+def _radical(m: int) -> int:
+    """The product of the distinct primes dividing m."""
+    result, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            result *= d
+            while m % d == 0:
+                m //= d
+        d += 1
+    return result * m if m > 1 else result
+
+
+def _power_rows(modulus: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """phi(modulus), and the sparse canonical form of zeta^0, ..., zeta^(modulus-1).
+
+    Each row is the one before times zeta: every index moves up one, and a
+    term pushed to the degree folds back through the nonzero terms of
+    Phi_modulus.
+    """
+    phi = cyclotomic_polynomial(modulus)
+    degree = len(phi) - 1
+    tail = [(i, -t) for i, t in enumerate(phi[:-1]) if t]  # x^degree = sum of these
+    rows = []
+    row = {0: 1}
+    for _ in range(modulus):
+        rows.append(tuple(sorted(row.items())))
+        spill = row.pop(degree - 1, 0)
+        row = {i + 1: r for i, r in row.items()}
+        if spill:
+            for i, t in tail:
+                c = row.get(i, 0) + spill * t
+                if c:
+                    row[i] = c
+                else:
+                    del row[i]
+    if row != {0: 1}:
+        raise InternalConsistencyError("zeta^M did not reduce to 1")
+    return degree, rows
+
+
+class _Context:
+    """Per-modulus tables, read off Phi_M(x) = Phi_R(x^s), R = rad(M), s = M/R.
+
+    rows are the R sparse canonical forms of the powers of y = zeta_M^s, a
+    primitive R-th root, in Z[y]/Phi_R. As zeta_M^(j s + i) = x^i y^j for
+    i < s, its canonical form is row j with each index l moved to l s + i:
+    sparse_powers[e] lists those nonzero (index, coefficient) pairs for
+    0 <= e < M, and any exponent reduces through sparse_powers[e % M].
+
+    The same rows reduce a packed element of Z[Z_M] (_reduce_packed) in
+    blocks of s slots: block j is a polynomial in x times y^j. fold is the
+    largest column weight sum_j |rows[j][l]| of the rows, so no canonical
+    coefficient exceeds fold times the largest slot.
     """
 
-    __slots__ = ("modulus", "degree", "phi", "sparse_powers")
+    __slots__ = ("modulus", "degree", "spread", "rows", "fold", "sparse_powers")
 
     def __init__(self, modulus: int):
+        radical = _radical(modulus)
+        spread = modulus // radical
+        degree, rows = _power_rows(radical)
+        weights = [0] * degree
+        for row in rows:
+            for l, r in row:
+                weights[l] += abs(r)
         self.modulus = modulus
-        self.phi = cyclotomic_polynomial(modulus)
-        self.degree = len(self.phi) - 1
-        tail = self.phi[:-1]  # x^degree = -tail in the quotient ring
-        rows = []
-        cur = [0] * self.degree
-        cur[0] = 1
-        for _ in range(modulus):
-            rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
-            spill = cur[-1]
-            cur = [0] + cur[:-1]
-            if spill:
-                for i, t in enumerate(tail):
-                    cur[i] -= spill * t
-        if cur != [1] + [0] * (self.degree - 1):
-            raise InternalConsistencyError("zeta^M did not reduce to 1")
-        self.sparse_powers = tuple(rows)
+        self.spread = spread
+        self.rows = rows
+        self.fold = max(weights)
+        self.degree = spread * degree
+        self.sparse_powers = tuple(
+            tuple((l * spread + i, r) for l, r in row) for row in rows for i in range(spread)
+        )
 
 
-def _reduce_terms(ctx: _Context, terms: Iterable[tuple[int, int]]) -> list[int]:
-    """Canonical coefficients of sum c zeta_M^e over the (e, c) terms."""
+def _reduce_terms(
+    ctx: _Context, terms: Iterable[tuple[int, int]], acc: Optional[list[int]] = None
+) -> list[int]:
+    """Canonical coefficients of acc + sum c zeta_M^e over the (e, c) terms.
+
+    acc, the canonical coefficients already summed (default none), is
+    updated in place.
+    """
     sparse, modulus = ctx.sparse_powers, ctx.modulus
-    acc = [0] * ctx.degree
+    if acc is None:
+        acc = [0] * ctx.degree
     for e, c in terms:
         if c:
             for i, r in sparse[e % modulus]:
                 acc[i] += c * r
     return acc
+
+
+@lru_cache(maxsize=64)
+def _packed_rows(modulus: int, nbytes: int) -> tuple[int, ...]:
+    """Rows phi(R), ..., R - 1 of the context, each packed with its entry
+    (l, r) as r in slot l s, nbytes bytes a slot: multiplying a block of s
+    slots by it adds r times the block at block l for every entry."""
+    ctx = _context(modulus)
+    bits = 8 * nbytes * ctx.spread
+    low = ctx.degree // ctx.spread
+    return tuple(sum(r << (l * bits) for l, r in row) for row in ctx.rows[low:])
+
+
+def _reduce_packed(ctx: _Context, packed: int, nbytes: int) -> Sequence[int]:
+    """Canonical coefficients of a packed element of Z[Z_M].
+
+    Slot e, nbytes bytes, holds the nonnegative count of zeta_M^e. Block j,
+    the s slots from j s, is a polynomial in x times y^j: blocks below
+    phi(R) are already canonical, and each nonzero block above adds
+    r times itself at block l for each entry (l, r) of row j, which is one
+    product with the packed row. One signed unpack then reads the
+    coefficients, so each must lie in [-2^(8 nbytes - 1), 2^(8 nbytes - 1));
+    as none exceeds fold times the largest count, slots of
+    _slot_bytes(2 fold max(count)) are wide enough.
+    """
+    bits = 8 * nbytes * ctx.spread
+    low = ctx.degree // ctx.spread
+    acc = packed & ((1 << (low * bits)) - 1)
+    mask = (1 << bits) - 1
+    packed >>= low * bits
+    for row in _packed_rows(ctx.modulus, nbytes):
+        block = packed & mask
+        if block:
+            acc += block * row
+        packed >>= bits
+    return _unpack_signed(acc, ctx.degree, nbytes)
 
 
 @lru_cache(maxsize=None)
@@ -275,6 +398,10 @@ class CycInt:
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not setattr.
+        return CycInt, (self.modulus, self.coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -345,31 +472,10 @@ class CycInt:
         a, b = self._pair(other)
         ctx = _context(a.modulus)
         deg = ctx.degree
-        nnz_a = deg - a.coeffs.count(0)
-        nnz_b = deg - b.coeffs.count(0)
-        if nnz_a * nnz_b > deg:
-            # Dense: one bigint product of the packed operands. No product
-            # coefficient exceeds bound, so balanced slots above 2 bound hold it.
-            bound = min(nnz_a, nnz_b) * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
-            nbytes = _slot_bytes(2 * bound)
-            product = _pack_signed(a.coeffs, nbytes) * _pack_signed(b.coeffs, nbytes)
-            conv = _unpack_signed(product, 2 * deg - 1, nbytes)
-        else:
-            conv = [0] * (2 * deg - 1)
-            terms_b = [(j, bj) for j, bj in enumerate(b.coeffs) if bj]
-            for i, ai in enumerate(a.coeffs):
-                if ai:
-                    for j, bj in terms_b:
-                        conv[i + j] += ai * bj
-        acc = list(conv[:deg])
-        sparse, modulus = ctx.sparse_powers, a.modulus
-        for e in range(deg, len(conv)):
-            c = conv[e]
-            if c:
-                # Exponents up to 2 deg - 2 reach past M when M is prime.
-                for i, r in sparse[e % modulus]:
-                    acc[i] += c * r
-        return CycInt(modulus, acc)
+        conv = _convolve(a.coeffs, b.coeffs)
+        # Exponents up to 2 deg - 2 reach past M when M is prime.
+        spill = zip(range(deg, 2 * deg - 1), conv[deg:])
+        return CycInt(a.modulus, _reduce_terms(ctx, spill, list(conv[:deg])))
 
     __rmul__ = __mul__
 
@@ -391,20 +497,25 @@ class CycInt:
         return CycInt(self.modulus, _reduce_terms(_context(self.modulus), terms))
 
     def norm_sq(self) -> "CycInt":
-        """z times conj(z); for a root of unity this is 1."""
-        return self * self.conj()
+        """z times conj(z); for a root of unity this is 1.
+
+        One autocorrelation: the product of the coefficients with their
+        reversal holds sum_i c_i c_(i-e) at slot e + deg - 1, the coefficient
+        of zeta_M^e in z conj(z). The exponents 0 <= e < deg are already
+        canonical; only the deg - 1 negative ones are reduced.
+        """
+        ctx = _context(self.modulus)
+        deg = ctx.degree
+        conv = _convolve(self.coeffs, self.coeffs[::-1])
+        negative = zip(range(1 - deg, 0), conv[: deg - 1])
+        return CycInt(self.modulus, _reduce_terms(ctx, negative, list(conv[deg - 1 :])))
 
     def divide_exact(self, divisor: int) -> "CycInt":
         """Divide every coefficient by an integer; error on any remainder."""
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, divisor)
-            if r:
-                raise ExactDivisionError(
-                    f"coefficient {c} is not divisible by {divisor}"
-                )
-            out.append(q)
-        return CycInt(self.modulus, out)
+        if any(map(divisor.__rmod__, self.coeffs)):
+            c = next(c for c in self.coeffs if c % divisor)
+            raise ExactDivisionError(f"coefficient {c} is not divisible by {divisor}")
+        return CycInt(self.modulus, map(divisor.__rfloordiv__, self.coeffs))
 
     # -- predicates and conversion -------------------------------------------
 

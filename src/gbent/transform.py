@@ -47,8 +47,12 @@ over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
 from its canonical coefficients and every slot raised by the largest
 coefficient magnitude B, so that all slots are nonnegative. The offset
 B sum_e zeta_M^e is fixed by every rotation and is 0 in Z[zeta_M], so it
-vanishes when the result is canonicalized; slots of 2^b > p^n 2B bits
-never carry. An exact division by p^n finishes the inverse.
+vanishes when the result is canonicalized. Each output is canonicalized
+straight from its packed int, M/R slots at a time through the ring's R
+rows (cyclotomic._reduce_packed, R = rad(M)), and read back by one signed
+unpack; slots of 2^b > L p^n 2B, with L the ring's fold, neither carry in
+the butterfly nor overflow in that unpack. An exact division by p^n
+finishes the inverse.
 
 The gamma_a coefficient is the character-weighted sum of p^k-th roots of
 unity sum_v zeta_p^(-a.v) zeta_(p^k)^(sum_j v_j p^(k-1-j)); it converts
@@ -74,6 +78,7 @@ from .cyclotomic import (
     _context,
     _pack_signed,
     _pack_slots,
+    _reduce_packed,
     _reduce_terms,
     _slot_bytes,
     _slot_counts,
@@ -225,8 +230,10 @@ def _per_distinct(items: Sequence, convert: Callable) -> tuple:
     Spectra repeat their values (a gbent spectrum takes at most 4q), and
     so do the packed elements they come from.
     """
-    done = {v: convert(v) for v in dict.fromkeys(items)}
-    return tuple(map(done.__getitem__, items))
+    index: dict = {}
+    slots = [index.setdefault(v, len(index)) for v in items]  # one hash per item
+    done = [convert(v) for v in index]
+    return tuple(map(done.__getitem__, slots))
 
 
 def _fast_spectrum(
@@ -332,26 +339,27 @@ def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
     slot is raised by B, the largest coefficient magnitude, so that all
     slots are nonnegative. The offset vanishes: B sum_e zeta_M^e is fixed
     by every rotation and is 0 in Z[zeta_M], so p^n of it cancel in the
-    canonical form. Output slots lie in [0, p^n 2B], which fixes the slot
-    width. The map is linear, so the input need not be the spectrum of a
-    function: the zero spectrum inverts to zeros and c S to c zeta_q^(f(x)).
-    The exact division by p^n fails (ExactDivisionError) only when some
-    sum_u zeta_p^(u.x) S(u) is not divisible by p^n, which rules out every
-    such input but not every input that is not a spectrum.
+    canonical form. Output slots lie in [0, p^n 2B], and each output is
+    reduced in blocks (cyclotomic._reduce_packed) to canonical
+    coefficients of magnitude at most L p^n B, L the ring's fold; slots of
+    2^b > L p^n 2B bits hold both. The map is linear, so the input need
+    not be the spectrum of a function: the zero spectrum inverts to zeros
+    and c S to c zeta_q^(f(x)). The exact division by p^n fails
+    (ExactDivisionError) only when some sum_u zeta_p^(u.x) S(u) is not
+    divisible by p^n, which rules out every such input but not every input
+    that is not a spectrum.
     """
     p, n, modulus = s.p, s.n, s.modulus
+    ctx = _context(modulus)
     size = p**n
-    bound = max((abs(c) for v in s.values for c in v.coeffs), default=0)
-    nbytes = _slot_bytes(size * 2 * bound)
-    pad = [bound] * (modulus - _context(modulus).degree)
-    vals = [
-        _pack_slots([c + bound for c in v.coeffs] + pad, nbytes) for v in s.values
-    ]
-    out = []
-    for v in _group_ring_butterfly(p, modulus, nbytes, vals, 1):
-        total = _counts_to_cycint(modulus, _slot_counts(v, modulus, nbytes))
-        out.append(total.divide_exact(size))
-    return tuple(out)
+    bound = max((max(max(v.coeffs), -min(v.coeffs)) for v in s.values), default=0)
+    nbytes = _slot_bytes(ctx.fold * size * 2 * bound)
+    lift = _pack_slots([bound] * modulus, nbytes)
+    vals = [_pack_signed(v.coeffs, nbytes) + lift for v in s.values]
+    return tuple(
+        CycInt(modulus, _reduce_packed(ctx, v, nbytes)).divide_exact(size)
+        for v in _group_ring_butterfly(p, modulus, nbytes, vals, 1)
+    )
 
 
 def _check_gamma_params(p: int, k: int, a: Sequence[int]) -> tuple[int, ...]:

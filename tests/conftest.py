@@ -81,3 +81,25 @@ def lone_slice(v, p, k, nbytes):
     if len(nonconstant) != 1:
         return None
     return nonconstant[0], slices[nonconstant[0]]
+
+
+def dense_sparse_powers(modulus):
+    """The sparse canonical form of every power of zeta_modulus, by stepping
+    a dense coefficient vector through all M powers and folding each spill
+    through every coefficient of Phi_M: O(M phi(M)), the oracle for the
+    ring tables read off Phi_rad(M)."""
+    from gbent import cyclotomic_polynomial
+
+    phi = cyclotomic_polynomial(modulus)
+    degree = len(phi) - 1
+    rows = []
+    cur = [1] + [0] * (degree - 1)
+    for _ in range(modulus):
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+        spill = cur[-1]
+        cur = [0] + cur[:-1]
+        if spill:
+            for i, t in enumerate(phi[:-1]):
+                cur[i] -= spill * t
+    assert cur == [1] + [0] * (degree - 1)
+    return tuple(rows)

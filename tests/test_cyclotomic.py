@@ -17,8 +17,17 @@ from gbent import (
     sqrt_p_power,
 )
 from gbent import cyclotomic
-from gbent.cyclotomic import _context, _pack_signed, _unpack_signed
+from gbent.cyclotomic import (
+    _context,
+    _pack_signed,
+    _pack_slots,
+    _reduce_packed,
+    _reduce_terms,
+    _slot_bytes,
+    _unpack_signed,
+)
 from gbent.transform import _counts_to_cycint
+from conftest import dense_sparse_powers
 
 X = sympy.Symbol("x")
 
@@ -268,3 +277,52 @@ def test_counts_to_cycint_matches_sympy(case, data):
     for e, c in enumerate(counts):
         poly[e * step] = c
     assert _counts_to_cycint(modulus, counts, step).coeffs == sympy_reduce(modulus, poly)
+
+
+@pytest.mark.parametrize(
+    "modulus", [1, 2, 3, 4, 12, 20, 36, 60, 84, 108, 196, 324, 420, 500, 1372]
+)
+def test_sparse_powers_match_dense_oracle(modulus):
+    ctx = _context(modulus)
+    assert ctx.sparse_powers == dense_sparse_powers(modulus)
+    assert ctx.degree == len(cyclotomic_polynomial(modulus)) - 1
+
+
+@pytest.mark.parametrize("modulus", [12, 84, 420, 196, 500, 1372])
+def test_block_reducer_matches_reduce_terms(modulus):
+    # s = M / rad(M) is 2 at M = 12, 84 and 420, and 14, 50 and 98 at the
+    # others. Counts are nonnegative; the slots hold fold times the largest.
+    ctx = _context(modulus)
+    rng = random.Random(modulus)
+    cases = [[0] * modulus]
+    for bound in (1,) + MAGNITUDES:
+        cases.append([rng.randint(0, bound) for _ in range(modulus)])
+        cases.append([bound] * modulus)
+        cases.append([rng.choice((0, bound)) for _ in range(modulus)])
+    for counts in cases:
+        nbytes = _slot_bytes(2 * ctx.fold * max(counts))
+        reduced = _reduce_packed(ctx, _pack_slots(counts, nbytes), nbytes)
+        assert list(reduced) == _reduce_terms(ctx, enumerate(counts))
+
+
+def _norm_cases(modulus):
+    rng = random.Random(modulus)
+    degree = _context(modulus).degree
+    dense = [CycInt(modulus, [rng.randint(-b, b) for _ in range(degree)])
+             for b in (1,) + MAGNITUDES]
+    units = [root(modulus, t) for t in (1, modulus // 4, modulus - 1) if t]
+    flat = [CycInt.zero(modulus), CycInt.integer(modulus, 7), CycInt.integer(modulus, -3)]
+    values = dense + units + flat + [root(modulus, 1) + 2 * root(modulus, modulus // 3)]
+    return values + [(2**70 + 1) * v for v in values]
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 12, 84, 108, 196, 420, 500])
+def test_norm_sq_matches_product_and_sympy(modulus):
+    for v in _norm_cases(modulus):
+        norm = v.norm_sq()
+        assert norm == v * v.conj()
+        # sympy's oracle conjugates on its own: zeta^j -> zeta^(M - j).
+        poly = [0] * modulus
+        for j, c in enumerate(v.coeffs):
+            poly[-j % modulus] = c
+        assert norm.coeffs == sympy_product(v, CycInt(modulus, sympy_reduce(modulus, poly)))

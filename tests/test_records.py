@@ -1,6 +1,8 @@
 """The immutable-record contract shared by every record of the package."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from gbent import (
     AffineSpec,
     ComponentTuple,
+    CycInt,
     DualCertificate,
     FunctionDoc,
     GammaTable,
@@ -23,6 +26,12 @@ from gbent import (
     SpectralForm,
     SpectralFormReport,
     Spectrum,
+    build_maiorana,
+    compose,
+    example_maiorana_q27,
+    regularity,
+    root,
+    wht_fast,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -122,3 +131,14 @@ def test_importing_the_cli_generates_no_code():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_ring_values_and_reports_pickle_and_deepcopy():
+    # Values cross process boundaries by pickle; copy.deepcopy takes the same
+    # path. A CycInt is rebuilt through its constructor, never by setattr.
+    f = compose(build_maiorana(example_maiorana_q27()))
+    z = 3 * root(108, 5) - 1
+    for value in (z, wht_fast(f), regularity(f)):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+    assert isinstance(pickle.loads(pickle.dumps(z)), CycInt)

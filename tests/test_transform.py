@@ -253,22 +253,43 @@ def test_fast_pary_rejects_bad_modulus():
         wht_pary_fast(PAryFunction(3, 1, (0, 1, 2)), 18)
 
 
+# Prime-power rings with long blocks (M / rad(M) = 54, 50 and 98), and
+# q = 105, whose ring has R = 210 and blocks of two slots, at p^n >= 243.
+LARGE_INVERSE = ((3, 5, 81), (5, 4, 125), (7, 3, 343), (3, 5, 105))
+
+
 def test_inverse_round_trip(rng):
     # The spectra come from the oracle: a sign slip shared by the engine's
     # two directions would survive a round trip through wht_fast.
-    for p in (3, 5, 7):
-        for n in (1, 2, 3):
-            for q in sorted({p, p * p, 12, 24, 21, 105}):
-                if q % p:
-                    continue
-                f = random_gbfunction(rng, p, n, q)
-                s = wht_naive(f)
-                expected = tuple(zeta_q(s.modulus, q, v) for v in f.table)
-                assert inverse_wht(s) == expected
-                # Coefficients past 2^64 need slots wider than any array item.
-                c = 2**70 + 1
-                scaled = Spectrum(p, n, q, s.modulus, tuple(c * v for v in s.values))
-                assert inverse_wht(scaled) == tuple(c * v for v in expected)
+    small = [(p, n, q) for p in (3, 5, 7) for n in (1, 2, 3)
+             for q in sorted({p, p * p, 12, 24, 21, 105}) if q % p == 0]
+    for p, n, q in small + list(LARGE_INVERSE):
+        f = random_gbfunction(rng, p, n, q)
+        s = wht_naive(f)
+        expected = tuple(zeta_q(s.modulus, q, v) for v in f.table)
+        assert inverse_wht(s) == expected
+        # Coefficients past 2^64 need slots wider than any array item.
+        c = 2**70 + 1
+        scaled = Spectrum(p, n, q, s.modulus, tuple(c * v for v in s.values))
+        assert inverse_wht(scaled) == tuple(c * v for v in expected)
+
+
+def test_inverse_slots_hold_the_fold():
+    # Not a spectrum, but 42 times one value per point sums, at x = 1, to a
+    # constant coefficient of -168 = -4 * 42: four times the largest input
+    # coefficient, past the 127 that slots sized for the butterfly alone
+    # (2 * 3 * 42 < 2^8) could read back signed. The oracle is the defining
+    # sum (1/p^n) sum_u zeta_p^(u x) S(u) in CycInt arithmetic.
+    modulus = 12
+    values = tuple(42 * CycInt(modulus, c)
+                   for c in ((0, 1, 0, 1), (1, -1, -1, -1), (-1, -1, 0, 1)))
+    expected = tuple(
+        sum((zeta_q(modulus, 3, u * x) * v for u, v in enumerate(values)),
+            CycInt.zero(modulus)).divide_exact(3)
+        for x in range(3)
+    )
+    assert max(abs(c) for v in expected for c in v.coeffs) * 3 == 4 * 42
+    assert inverse_wht(Spectrum(3, 1, 3, modulus, values)) == expected
 
 
 def test_inverse_rejects_perturbed_dense_spectrum(rng):
@@ -456,6 +477,17 @@ def test_spectrum_records_norm_once_per_distinct_value(monkeypatch):
     monkeypatch.setattr(CycInt, "norm_sq", counting)
     assert spectrum_records(s) == expected
     assert len(calls) == len(distinct)
+
+
+def test_per_distinct_hashes_each_value_once(rng, monkeypatch):
+    s = wht_naive(random_gbfunction(rng, 3, 4, 21))
+    distinct = len(set(s.values))
+    hashes = []
+    hash_ = CycInt.__hash__
+    monkeypatch.setattr(CycInt, "__hash__", lambda v: hashes.append(v) or hash_(v))
+    records = spectrum_records(s)
+    assert [text for _, text, _ in records] == [str(v) for v in s.values]
+    assert 0 < len(hashes) <= len(s.values) + distinct
 
 
 def test_naive_jobs_deterministic():
