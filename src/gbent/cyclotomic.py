@@ -12,8 +12,7 @@ Z[zeta_M] with M = lcm(4, q): it contains zeta_q, zeta_p for any p | q,
 sqrt(-1) = zeta_4, and sqrt(p) through quadratic Gauss sums.
 
 Phi_M(x) = Phi_R(x^s), with R = rad(M) the product of the primes of M and
-s = M/R, so one table per modulus comes from Phi_R alone (computed by the
-Moebius product Phi_R(y) = prod_{d|R} (y^d - 1)^{mu(R/d)}): the sparse
+s = M/R, so one table per modulus comes from Phi_R alone: the sparse
 canonical forms of the R powers of y = zeta_M^s, each stepped from the one
 before. The form of zeta_M^(j s + i), i < s, is row j with every index l
 moved to l s + i, and the cache keeps it, for each power zeta_M^0 ..
@@ -25,6 +24,14 @@ sparse row. A packed element of the group ring Z[Z_M] reduces by the same R
 rows in blocks of s slots (_reduce_packed), a bigint product per block, with
 no loop over single exponents. All values are immutable; the per-modulus
 cache is initialize-once, read-many.
+
+Phi_R comes from one factorisation of M (_prime_factors): it is the
+Moebius product over the 2^t subsets of the t primes of R, one factor
+y^(R/P) - 1 per subset with product P, multiplied in for an even subset
+and divided out for an odd one. Each factor costs one shift-and-subtract
+pass over the coefficients, so no dense polynomial product or long
+division is ever formed. cyclotomic_polynomial(m) spreads the same Phi_R
+to Phi_R(x^(m/R)).
 
 A product of dense operands (nnz(a) nnz(b) > phi(M)) is one bigint
 multiply (Kronecker substitution): each operand is packed one coefficient
@@ -42,90 +49,75 @@ import re
 import sys
 from array import array
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExactDivisionError, InternalConsistencyError, ModulusMismatchError
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m, ascending; none for m < 2."""
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return primes + [m] if m > 1 else primes
+
+
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(m) == [m]
 
 
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+def _divide_out(poly: list[int], d: int) -> list[int]:
+    """poly / (x^d - 1), which must be exact.
 
-
-def _mobius(m: int) -> int:
-    result = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if m > 1:
-        result = -result
-    return result
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    # Long division by a monic divisor; the quotient must be exact.
-    num = list(num)
-    dn = len(den) - 1
-    if den[-1] != 1:
-        raise InternalConsistencyError("divisor is not monic")
-    quot = [0] * (len(num) - dn)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dn]
-        if c:
-            quot[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
+    poly = quot (x^d - 1) reads poly[i] = quot[i - d] - quot[i], so
+    quot[i] = quot[i - d] - poly[i] from the bottom up; the division is
+    exact when that leaves the top d coefficients zero.
+    """
+    quot = [-c for c in poly[:d]]
+    for i in range(d, len(poly)):
+        quot.append(quot[i - d] - poly[i])
+    if any(quot[len(poly) - d :]):
         raise InternalConsistencyError("polynomial division left a remainder")
-    return quot
+    return quot[: len(poly) - d]
+
+
+def _radical_polynomial(primes: Sequence[int]) -> list[int]:
+    """Coefficients of Phi_R, R the product of the distinct primes, ascending.
+
+    The Moebius product Phi_R(x) = prod (x^(R/P) - 1)^((-1)^t) runs over the
+    subsets of t primes with product P. Each factor x^d - 1 is multiplied in
+    by one shift-and-subtract pass; the odd subsets are divided out after.
+    """
+    radical = prod(primes)
+    poly, odd = [1], []
+    for t in range(len(primes) + 1):
+        for subset in combinations(primes, t):
+            d = radical // prod(subset)
+            if t % 2:
+                odd.append(d)
+            else:
+                poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in odd:
+        poly = _divide_out(poly, d)
+    return poly
 
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m in ascending order (monic)."""
+    """Coefficients of Phi_m in ascending order (monic): Phi_R(x^(m/R)),
+    R = rad(m)."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    poly = [1]
-    dens: list[int] = []
-    for d in _divisors(m):
-        mu = _mobius(m // d)
-        if mu == 1:
-            poly = _poly_mul(poly, [-1] + [0] * (d - 1) + [1])
-        elif mu == -1:
-            dens.append(d)
-    for d in dens:
-        poly = _poly_divexact(poly, [-1] + [0] * (d - 1) + [1])
+    primes = _prime_factors(m)
+    spread = m // prod(primes)
+    phi_r = _radical_polynomial(primes)
+    poly = [0] * (spread * (len(phi_r) - 1) + 1)
+    poly[::spread] = phi_r
     return tuple(poly)
 
 
@@ -241,31 +233,18 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     return conv
 
 
-def _radical(m: int) -> int:
-    """The product of the distinct primes dividing m."""
-    result, d = 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            result *= d
-            while m % d == 0:
-                m //= d
-        d += 1
-    return result * m if m > 1 else result
+def _power_rows(phi: Sequence[int], order: int) -> list[tuple[tuple[int, int], ...]]:
+    """The sparse canonical forms of y^0, ..., y^(order-1) in Z[y]/phi, y of
+    that order.
 
-
-def _power_rows(modulus: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-    """phi(modulus), and the sparse canonical form of zeta^0, ..., zeta^(modulus-1).
-
-    Each row is the one before times zeta: every index moves up one, and a
-    term pushed to the degree folds back through the nonzero terms of
-    Phi_modulus.
+    Each row is the one before times y: every index moves up one, and a
+    term pushed to the degree folds back through the nonzero terms of phi.
     """
-    phi = cyclotomic_polynomial(modulus)
     degree = len(phi) - 1
-    tail = [(i, -t) for i, t in enumerate(phi[:-1]) if t]  # x^degree = sum of these
+    tail = [(i, -t) for i, t in enumerate(phi[:-1]) if t]  # y^degree = sum of these
     rows = []
     row = {0: 1}
-    for _ in range(modulus):
+    for _ in range(order):
         rows.append(tuple(sorted(row.items())))
         spill = row.pop(degree - 1, 0)
         row = {i + 1: r for i, r in row.items()}
@@ -278,7 +257,7 @@ def _power_rows(modulus: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
                     del row[i]
     if row != {0: 1}:
         raise InternalConsistencyError("zeta^M did not reduce to 1")
-    return degree, rows
+    return rows
 
 
 class _Context:
@@ -299,9 +278,14 @@ class _Context:
     __slots__ = ("modulus", "degree", "spread", "rows", "fold", "sparse_powers")
 
     def __init__(self, modulus: int):
-        radical = _radical(modulus)
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        primes = _prime_factors(modulus)
+        radical = prod(primes)
         spread = modulus // radical
-        degree, rows = _power_rows(radical)
+        phi = _radical_polynomial(primes)
+        degree = len(phi) - 1
+        rows = _power_rows(phi, radical)
         weights = [0] * degree
         for row in rows:
             for l, r in row:
@@ -604,8 +588,6 @@ def parse_cycint(text: str) -> CycInt:
 
 def root(modulus: int, t: int) -> CycInt:
     """The canonical form of zeta_modulus^t; root(M, 0) is the identity."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
     return CycInt(modulus, _reduce_terms(_context(modulus), ((t, 1),)))
 
 

@@ -75,6 +75,22 @@ def _validate_params(p: int, n: int, q: int) -> None:
         raise ValueError(f"q must be a positive multiple of p, got q={q}")
 
 
+def _checked_table(table: Sequence[int], p: int, n: int, q: int) -> tuple[int, ...]:
+    """table as a tuple of p^n entries, each an int (not a bool) in [0, q).
+
+    The entry types and the range are each one C-level pass; the entries are
+    looped over only to name the first bad one, or to vet int subclasses.
+    """
+    table = tuple(table)
+    if len(table) != p**n:
+        raise ValueError(f"table length {len(table)} != {p}^{n}")
+    if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= q:
+        for i, v in enumerate(table):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
+                raise ValueError(f"table[{i}] = {v!r} is not in [0, {q})")
+    return table
+
+
 class _Record:
     """An immutable record whose fields are its class's own annotations.
 
@@ -154,14 +170,7 @@ class GBFunction(_Record):
 
     def __post_init__(self):
         _validate_params(self.p, self.n, self.q)
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.p**self.n:
-            raise ValueError(
-                f"table length {len(self.table)} != {self.p}^{self.n}"
-            )
-        for i, v in enumerate(self.table):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.q:
-                raise ValueError(f"table[{i}] = {v!r} is not in [0, {self.q})")
+        object.__setattr__(self, "table", _checked_table(self.table, self.p, self.n, self.q))
 
     @property
     def k(self) -> int:
@@ -181,14 +190,7 @@ class PAryFunction(_Record):
 
     def __post_init__(self):
         _validate_params(self.p, self.n, self.p)
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.p**self.n:
-            raise ValueError(
-                f"table length {len(self.table)} != {self.p}^{self.n}"
-            )
-        for i, v in enumerate(self.table):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.p:
-                raise ValueError(f"table[{i}] = {v!r} is not in [0, {self.p})")
+        object.__setattr__(self, "table", _checked_table(self.table, self.p, self.n, self.p))
 
     def as_gbfunction(self) -> GBFunction:
         return GBFunction(self.p, self.n, self.p, self.table)

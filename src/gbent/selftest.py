@@ -87,7 +87,7 @@ def check_root_reconstruction() -> None:
         modulus = lcm(4, p**k)
         step_p = modulus // p
         step_pk = modulus // p**k
-        gammas = {a: gamma_product(p, k, a, modulus) for a in all_points(p, k - 1)}
+        gammas = {a: gamma_product(p, k, a) for a in all_points(p, k - 1)}
         for e, u in enumerate(all_points(p, k - 1)):
             acc = CycInt.zero(modulus)
             for a, gamma in gammas.items():

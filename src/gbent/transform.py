@@ -374,18 +374,16 @@ def _check_gamma_params(p: int, k: int, a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
-def gamma_product(
-    p: int, k: int, a: Sequence[int], modulus: Optional[int] = None
-) -> CycInt:
-    """gamma_a as a product of k-1 digit factors; O(k p) terms.
+def gamma_product(p: int, k: int, a: Sequence[int]) -> CycInt:
+    """gamma_a as a product of k-1 digit factors, in Z[zeta_M], M = lcm(4, p^k).
 
     Factor i is sum_(l in Z_p) zeta_p^(l a_i) zeta_(p^(i+1))^((p-l) mod p);
-    substituting v_i = (p-l) mod p recovers exactly the defining sum, which
-    the test suite certifies by comparing against gamma_general at q = p^k.
+    substituting v_i = (p-l) mod p recovers exactly the defining sum. This
+    is the reference form that the tests and selftest compare gamma_general
+    against at q = p^k.
     """
     a = _check_gamma_params(p, k, a)
-    if modulus is None:
-        modulus = lcm(4, p**k)
+    modulus = lcm(4, p**k)
     step_p = modulus // p
     result = CycInt.one(modulus)
     for i, ai in enumerate(a, start=1):
@@ -398,11 +396,10 @@ def gamma_product(
     return result
 
 
-def gamma_general(
-    p: int, k: int, q: int, a: Sequence[int], modulus: Optional[int] = None
-) -> CycInt:
+def gamma_general(p: int, k: int, q: int, a: Sequence[int]) -> CycInt:
     """gamma_a by its defining sum over v in Z_p^(k-1), with zeta_q in place
-    of zeta_(p^k) for a target ring Z_q, p | q <= p^k.
+    of zeta_(p^k) for a target ring Z_q, p | q <= p^k, in Z[zeta_M],
+    M = lcm(4, q).
 
     The exponent sum_j v_j p^(k-1-j) is the big-endian rank of v. At the
     prime-power boundary q = p^k this is the defining sum of gamma_a itself.
@@ -410,8 +407,7 @@ def gamma_general(
     a = _check_gamma_params(p, k, a)
     if q % p != 0 or not (p ** (k - 1) < q <= p**k):
         raise ValueError(f"q={q} incompatible with p={p}, k={k}")
-    if modulus is None:
-        modulus = lcm(4, q)
+    modulus = lcm(4, q)
     step_p = modulus // p
     step_q = modulus // q
     counts = [0] * modulus
@@ -424,7 +420,7 @@ def gamma_general(
 
 class GammaTable(_Record):
     """All gamma coefficients for fixed (p, k, q), keyed by the vector a in
-    big-endian rank order."""
+    big-endian rank order, in Z[zeta_M], M = lcm(4, q)."""
 
     p: int
     k: int
@@ -434,17 +430,10 @@ class GammaTable(_Record):
 
 
 @lru_cache(maxsize=32)
-def gamma_table(p: int, k: int, q: int, modulus: Optional[int] = None) -> GammaTable:
-    if modulus is None:
-        modulus = lcm(4, q)
-    prime_power = q == p**k
-    entries = {
-        a: gamma_product(p, k, a, modulus)
-        if prime_power
-        else gamma_general(p, k, q, a, modulus)
-        for a in all_points(p, k - 1)
-    }
-    return GammaTable(p, k, q, modulus, entries)
+def gamma_table(p: int, k: int, q: int) -> GammaTable:
+    """The defining sum (gamma_general) at every a, for every q."""
+    entries = {a: gamma_general(p, k, q, a) for a in all_points(p, k - 1)}
+    return GammaTable(p, k, q, lcm(4, q), entries)
 
 
 @lru_cache(maxsize=32)

@@ -32,6 +32,9 @@ from conftest import dense_sparse_powers
 X = sympy.Symbol("x")
 
 MODULI = [1, 2, 3, 4, 9, 12, 21, 27, 36, 84, 100, 108]
+# Phi_m with a coefficient outside {-1, 0, 1}: 105 is the first (a -2), and
+# 3465 = 3^2 5 7 11 is Phi_1155 spread by 3.
+WIDE_MODULI = [105, 385, 1155, 2310, 3465, 4620]
 
 
 def sympy_reduce(modulus, coeffs):
@@ -45,7 +48,7 @@ def sympy_reduce(modulus, coeffs):
     return tuple(out)
 
 
-@pytest.mark.parametrize("modulus", MODULI)
+@pytest.mark.parametrize("modulus", MODULI + WIDE_MODULI)
 def test_cyclotomic_polynomial_matches_sympy(modulus):
     ours = cyclotomic_polynomial(modulus)
     theirs = sympy.Poly(sympy.cyclotomic_poly(modulus, X), X).all_coeffs()
@@ -109,6 +112,18 @@ def test_modulus_mismatch():
         root(9, 1) + root(4, 1)  # 9 and 4 have no divisibility relation
     # but 3 embeds into 9
     assert root(3, 1) == root(9, 3)
+
+
+@pytest.mark.parametrize("modulus", [0, -4])
+def test_nonpositive_modulus_is_refused(modulus):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        CycInt(modulus, [0, 0])
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        CycInt.zero(modulus)
+    with pytest.raises(ValueError):
+        parse_cycint(f"(mod {modulus}) 0")
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        cyclotomic_polynomial(modulus)
 
 
 def test_promotion_is_canonical():

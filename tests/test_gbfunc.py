@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,34 @@ def test_validation():
         GBFunction(3, 1, 9, (0, 0, 9))  # entry out of range, never reduced
     with pytest.raises(ValueError):
         GBFunction(3, 2, 9, (0, 0, 0))  # wrong length
+
+
+class _Digit(int):
+    pass
+
+
+@pytest.mark.parametrize("make,bound", [
+    (lambda table: GBFunction(3, 1, 9, table), 9),
+    (lambda table: PAryFunction(3, 1, table), 3),
+])
+def test_table_entries_checked_alike(make, bound):
+    # Both records share one table check: int subclasses pass, bools and
+    # other types do not, and the error names the first bad index.
+    assert make((_Digit(1), 0, 2)).table == (1, 0, 2)
+    assert make([2, 1, 0]).table == (2, 1, 0)
+    for table, index in [
+        ((0, True, 0), 1),
+        ((0, 0, 1.0), 2),
+        ((0, "1", 0), 1),
+        ((-1, 0, bound), 0),
+        ((0, bound, -1), 1),
+        ((0, 1, _Digit(bound)), 2),
+    ]:
+        message = f"table[{index}] = {table[index]!r} is not in [0, {bound})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(table)
+    with pytest.raises(ValueError, match=r"^table length 2 != 3\^1$"):
+        make((0, 0))
 
 
 def test_k_exponent():
