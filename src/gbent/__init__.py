@@ -54,6 +54,7 @@ from .classify import (
     RowDecomp,
     SpectralForm,
     SpectralFormReport,
+    analyze,
     component_row_table,
     expected_alphas,
     hadamard_row,

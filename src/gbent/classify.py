@@ -20,11 +20,14 @@ bundled reference tables and the point-index convention used everywhere
 else in the package. For general q a successful row match with one global
 alpha certifies weak regularity and produces the dual
 f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
-against the directly computed spectrum. component_row_table never forms
-the vector: it tests the vector's inverse transform, the digit slices of
+against the directly computed spectrum. The row table never forms the
+vector: it tests the vector's inverse transform, the digit slices of
 transform's butterfly, for one nonzero slice, on the packed element, and
 matches only that slice. row_decomp decomposes an explicit vector and is
-the oracle the tests compare it against.
+the oracle the tests compare it against. analyze runs that butterfly once
+per function and reads the spectrum off the same packed list by the slot
+map (slot v_0 C + r stands for zeta_q^(((q/p) v_0 + r) mod q)), so its
+verdict, spectral form and row table come from one butterfly.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
 from .errors import InternalConsistencyError
 from .gbfunc import (
     ComponentTuple,
+    FunctionDoc,
     GBFunction,
     _Record,
     all_points,
@@ -46,9 +50,12 @@ from .gbfunc import (
 from .transform import (
     LoneSlice,
     Spectrum,
+    _count_butterfly,
     _counts_to_cycint,
-    _digit_slices,
+    _digit_spectra,
+    _fast_spectrum,
     _per_distinct,
+    _slice_reader,
     wht_fast,
 )
 
@@ -274,7 +281,7 @@ def _slice_decomp(lone: LoneSlice, p: int, n: int, k: int) -> Optional[RowDecomp
     """The row decomposition of one point, read off its lone nonzero slice.
 
     Slice r is the inverse Hadamard transform of the combination-spectrum
-    vector at row r (transform._digit_slices), so the vector is
+    vector at row r (transform._digit_spectra), so the vector is
     alpha zeta_p^j times row r exactly when slice r is the only nonzero
     slice and equals p^(n/2) alpha zeta_p^j. Slice counts c_0, ..., c_(p-1)
     stand for sum_e c_e zeta_p^e, which is zero exactly when all c_e are
@@ -293,16 +300,35 @@ def _slice_decomp(lone: LoneSlice, p: int, n: int, k: int) -> Optional[RowDecomp
     return RowDecomp(*hit, index_point(p, k - 1, row), row)
 
 
-def component_row_table(t: ComponentTuple) -> tuple[Optional[RowDecomp], ...]:
-    """The row decomposition of the component-spectrum vector at every point
-    of Z_p^n; None where there is none.
+RowTable = tuple[Optional[RowDecomp], ...]
 
-    Agrees with row_decomp on the vector (S_a(u))_a. Points with equal
-    packed digit spectra decompose equally, so each distinct one is
-    decomposed once.
+
+def _row_table(p: int, n: int, k: int, packed: Sequence[int], nbytes: int) -> RowTable:
+    """The row decomposition at every point, read off the packed digit
+    spectra by their lone nonzero slice, once per distinct element."""
+    read = _slice_reader(p, p ** (k - 1), nbytes)
+    return _per_distinct(packed, lambda v: _slice_decomp(read(v), p, n, k))
+
+
+def component_row_table(t: ComponentTuple) -> RowTable:
+    """The row decomposition of the component-spectrum vector at every point
+    of Z_p^n, None where there is none; agrees with row_decomp on (S_a(u))_a."""
+    return _row_table(t.p, t.n, t.k, *_digit_spectra(t))
+
+
+def analyze(doc: FunctionDoc) -> tuple[RegularityReport, Optional[RowTable]]:
+    """The regularity of a loaded function, and its row table if it is gbent.
+
+    Both are read off one butterfly: over the digit slots of a components
+    file, or the q slots of a table at q = p^k. A table at general q has no
+    digits to read a row table from.
     """
-    packed, read = _digit_slices(t)
-    return _per_distinct(packed, lambda v: _slice_decomp(read(v), t.p, t.n, t.k))
+    f, t = doc.function, doc.components
+    if t is None and not f.is_prime_power:
+        return regularity(f), None
+    butterfly = _count_butterfly(f.p, f.n, f.q, f.table) if t is None else _digit_spectra(t)
+    reg = regularity(f, _fast_spectrum(f.p, f.n, f.q, lcm(4, f.q), f.p**f.k, *butterfly))
+    return reg, _row_table(f.p, f.n, f.k, *butterfly) if reg.gbent else None
 
 
 class RowCriterionReport(_Record):

@@ -24,12 +24,11 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .classify import RowDecomp, component_row_table, is_gbent, regularity
+from .classify import analyze, component_row_table, is_gbent
 from .errors import FunctionFormatError
 from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
-    digits,
     function_to_text,
     index_point,
     load_function,
@@ -98,19 +97,17 @@ def _load_input(command: str, load, path: str):
 
 def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
     f = doc.function
-    reg = regularity(f)
+    reg, rows = analyze(doc)
     gb, forms = reg.gbent, reg.spectral
 
     lines: list[str] = []
     source = "components" if doc.components is not None else "table"
-    if reg.verdict == "regular":
-        verdict = "gbent, regular (alpha = +1)"
-    elif reg.verdict == "weakly_regular":
-        verdict = f"gbent, weakly regular (alpha = {reg.alpha})"
-    elif reg.verdict == "not_weakly_regular":
-        verdict = "gbent, not weakly regular"
-    else:
-        verdict = "not gbent"
+    verdict = {
+        "regular": "gbent, regular (alpha = +1)",
+        "weakly_regular": f"gbent, weakly regular (alpha = {reg.alpha})",
+        "not_weakly_regular": "gbent, not weakly regular",
+        "not_gbent": "not gbent",
+    }[reg.verdict]
     if fmt == "text":
         lines.append(
             f"function: p={f.p} n={f.n} q={f.q} points={len(f.table)} source={source}"
@@ -123,12 +120,6 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
         witnesses = " ".join(_fmt_point(u) for u in gb.failures)
         lines.append(f"failing points ({len(gb.failures)}): {witnesses}")
         return lines, False
-    comps = doc.components
-    if comps is None and f.is_prime_power:
-        comps = digits(f)
-    rows: Optional[tuple[Optional[RowDecomp], ...]] = None
-    if comps is not None:
-        rows = component_row_table(comps)
     if forms.failures:
         witnesses = " ".join(_fmt_point(u) for u in forms.failures)
         lines.append(
@@ -137,14 +128,10 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
     if fmt == "text":
         lines.append("per-point spectral data:")
     lines.append("point\talpha\tj\tr\tdual")
-    for u, label in enumerate(_point_labels(f.p, f.n)):
-        form = forms.forms[u]
-        alpha = form.alpha if form else "-"
-        dual = str(form.dual) if form else "-"
-        if rows is not None and rows[u] is not None:
-            j, r = str(rows[u].j), str(rows[u].row)
-        else:
-            j = r = "-"
+    labels = _point_labels(f.p, f.n)
+    for label, form, d in zip(labels, forms.forms, rows or (None,) * len(labels)):
+        alpha, dual = (form.alpha, form.dual) if form else ("-", "-")
+        j, r = (d.j, d.row) if d else ("-", "-")
         lines.append(f"({label})\t{alpha}\t{j}\t{r}\t{dual}")
     return lines, True
 
@@ -259,21 +246,19 @@ def cmd_tables(args) -> int:
                     f"table {name}: p={t.p} n={t.n} q={t.q}, "
                     f"component vectors as alpha * z3^j * H9[r]"
                 )
-                for u in points:
-                    d = decomps[point_index(t.p, u)]
-                    if d is None:
-                        lines.append(f"{_fmt_point(u)}\t<no decomposition>")
-                        continue
-                    prefix = "" if d.alpha == "+1" else f"{d.alpha}*"
-                    power = "" if d.j == 0 else f"z3^{d.j}*"
-                    lines.append(f"{_fmt_point(u)}\t{prefix}{power}H9[{d.row}]")
-            else:
-                for u in points:
-                    d = decomps[point_index(t.p, u)]
+            for u in points:
+                d = decomps[point_index(t.p, u)]
+                if args.format != "text":
                     alpha, j, r = (d.alpha, d.j, d.row) if d else ("-", "-", "-")
                     lines.append(
                         f"{name}\t{','.join(str(v) for v in u)}\t{alpha}\t{j}\t{r}"
                     )
+                elif d is None:
+                    lines.append(f"{_fmt_point(u)}\t<no decomposition>")
+                else:
+                    prefix = "" if d.alpha == "+1" else f"{d.alpha}*"
+                    power = "" if d.j == 0 else f"z3^{d.j}*"
+                    lines.append(f"{_fmt_point(u)}\t{prefix}{power}H9[{d.row}]")
             summary = (
                 f"table {name}: {len(golden)} golden rows, "
                 f"{len(mismatches)} mismatches, {undecomposed} undecomposed points "

@@ -165,13 +165,9 @@ def enumerate_pary_bent(p: int, n: int) -> list[PAryFunction]:
     from .transform import wht_naive
 
     out = []
-    size = p**n
-    for code in range(p**size):
-        table, c = [], code
-        for _ in range(size):
-            table.append(c % p)
-            c //= p
-        g = PAryFunction(p, n, tuple(table))
+    for entries in all_points(p, p**n):
+        # Reversed, so the first table entry varies fastest.
+        g = PAryFunction(p, n, entries[::-1])
         f = g.as_gbfunction()
         if is_gbent(f, wht_naive(f)):
             out.append(g)
@@ -181,21 +177,11 @@ def enumerate_pary_bent(p: int, n: int) -> list[PAryFunction]:
 def quadratic_sweep(p: int = 3) -> list[PAryFunction]:
     """All of beta x_1 x_2 + b_1 x_1 + b_2 x_2 + c on two variables, beta != 0."""
     points = all_points(p, 2)
-    out = []
-    for beta in range(1, p):
-        for b1 in range(p):
-            for b2 in range(p):
-                for c in range(p):
-                    out.append(
-                        PAryFunction(
-                            p, 2,
-                            tuple(
-                                (beta * x[0] * x[1] + b1 * x[0] + b2 * x[1] + c) % p
-                                for x in points
-                            ),
-                        )
-                    )
-    return out
+    return [
+        PAryFunction(p, 2, tuple((beta * x * y + b1 * x + b2 * y + c) % p for x, y in points))
+        for beta in range(1, p)
+        for b1, b2, c in all_points(p, 3)
+    ]
 
 
 # -- construction spec file format ---------------------------------------------

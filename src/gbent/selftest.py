@@ -12,7 +12,8 @@ from math import lcm
 from typing import Callable
 
 from .cyclotomic import CycInt, gauss_sqrt, root
-from .gbfunc import ComponentTuple, GBFunction, PAryFunction, all_points, compose
+from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, all_points, compose,
+                     smallest_exponent)
 from .transform import (
     gamma_general,
     gamma_product,
@@ -125,9 +126,7 @@ def check_fast_equals_naive(seed: int) -> None:
 def check_composed_equals_naive(seed: int) -> None:
     rng = random.Random(seed)
     for p, n, q in ((3, 2, 9), (3, 2, 27), (3, 2, 21), (5, 2, 25)):
-        k = 1
-        while p**k < q:
-            k += 1
+        k = smallest_exponent(p, q)
         for _ in range(5):
             comps = tuple(
                 PAryFunction(p, n, tuple(rng.randrange(p) for _ in range(p**n)))

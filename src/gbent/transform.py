@@ -15,8 +15,8 @@ One engine computes every spectrum, and two independent paths check it:
                       bigint adds. Point x starts as one count at slot f(x).
                       Within a pass, groups with equal inputs are computed
                       once and share their outputs; structured inputs
-                      repeat many. One sparse step then maps every count
-                      to the canonical form of its power of zeta_M.
+                      repeat many. The slot map (below) then reads each
+                      distinct element as its canonical form in Z[zeta_M].
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
@@ -29,15 +29,18 @@ One engine computes every spectrum, and two independent paths check it:
 A component tuple runs the same butterfly over p^k digit slots
 (_digit_spectra): x starts as one count at the big-endian rank of
 (f_0(x), ..., f_(k-1)(x)), and since zeta_p moves only the leading digit,
-slot v_0 C + r at u counts the x with f_0(x) - u.x = v_0 mod p whose lower
-digits have rank r. Slice r, the p counts at slots r, r + C, ..., read as an
+slot v_0 C + r at u (C = p^(k-1)) counts the x with f_0(x) - u.x = v_0
+mod p whose lower digits have rank r. At q = p^k the rank of f(x)'s digits
+is f(x), so a table's butterfly over q slots is this same list. The slot
+map reads the spectrum off either layout (_fast_spectrum): slot v_0 C + r,
+C = slots/p, stands for zeta_q^(((q/p) v_0 + r) mod q), which over q slots
+is zeta_q^e at slot e and over digit slots is zeta_q^(compose's value of
+those digits). Slice r, the p counts at slots r, r + C, ..., read as an
 element of Z[zeta_p], is the inverse Hadamard transform at row r of the
-vector of combination spectra (S_a(u))_a. The row test in classify needs
-only the lone nonconstant slice, which _digit_slices finds on the packed
-element v: slot e of v XOR (v rotated by C slots) is nonzero exactly when
-count e differs from count e - C, so in the OR of its p blocks of C slots,
-slot r is nonzero exactly when slice r is not constant. Only a lone such
-slice is unpacked. wht_composed sums the other way round, weighting slot
+vector of combination spectra (S_a(u))_a, and a lone nonconstant slice,
+found on the packed element by _slice_reader, is all the row test needs.
+So classify.analyze reads the verdict, the spectral form and the row table
+off one butterfly. wht_composed sums the other way round, weighting slot
 v_0 C + r by zeta_p^(v_0) w_r with w_r = inverse_wht of the gamma table at
 r, Kronecker-packed in signed slots (cyclotomic), so each composed value is
 one sum of bigint products, unpacked once.
@@ -102,6 +105,8 @@ class Spectrum(_Record):
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.p**self.n:
             raise ValueError("spectrum length does not match p^n")
+        if self.modulus % lcm(4, self.q):
+            raise ValueError(f"modulus {self.modulus} is not a multiple of lcm(4, {self.q})")
         for v in self.values:
             if v.modulus != self.modulus:
                 raise ValueError(
@@ -237,14 +242,22 @@ def _per_distinct(items: Sequence, convert: Callable) -> tuple:
 
 
 def _fast_spectrum(
-    p: int, n: int, q: int, table: Sequence[int], modulus: int
+    p: int, n: int, q: int, modulus: int, slots: int, packed: Sequence[int], nbytes: int
 ) -> Spectrum:
-    packed, nbytes = _count_butterfly(p, n, q, table)
-    step = modulus // q
-    values = _per_distinct(
-        packed, lambda v: _counts_to_cycint(modulus, _slot_counts(v, q, nbytes), step)
-    )
-    return Spectrum(p, n, q, modulus, values)
+    """The spectrum of packed butterfly output over `slots` slots, by the slot
+    map: block v_0 of C = slots/p slots moves to slot (q/p) v_0, and slots
+    from q on wrap to the bottom (X^q = 1), before the q counts of each
+    distinct element are canonicalized."""
+    bits = 8 * nbytes
+    block, lead, width = (slots // p) * bits, (q // p) * bits, q * bits
+    low, mask = (1 << block) - 1, (1 << width) - 1
+
+    def value(v: int) -> CycInt:
+        moved = sum(((v >> (i * block)) & low) << (i * lead) for i in range(p))
+        counts = _slot_counts((moved & mask) + (moved >> width), q, nbytes)
+        return _counts_to_cycint(modulus, counts, modulus // q)
+
+    return Spectrum(p, n, q, modulus, _per_distinct(packed, value))
 
 
 def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
@@ -296,23 +309,14 @@ def _slice_reader(p: int, combos: int, nbytes: int) -> Callable[[int], LoneSlice
     return read
 
 
-def _digit_slices(t: ComponentTuple) -> tuple[list[int], Callable[[int], LoneSlice]]:
-    """The packed digit spectra of every point, and the _slice_reader of
-    their lone nonconstant slice. Slice r stands for
-    sum_(v_0) counts[v_0] zeta_p^(v_0), which is zero exactly when its
-    counts are equal.
-    """
-    packed, nbytes = _digit_spectra(t)
-    return packed, _slice_reader(t.p, t.p ** (t.k - 1), nbytes)
-
-
 def wht_fast(f: GBFunction) -> Spectrum:
     """The spectrum of any function Z_p^n -> Z_q by the packed butterfly.
 
     O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one sparse
     canonicalization per distinct value. Agrees entrywise with wht_naive.
     """
-    return _fast_spectrum(f.p, f.n, f.q, f.table, lcm(4, f.q))
+    packed, nbytes = _count_butterfly(f.p, f.n, f.q, f.table)
+    return _fast_spectrum(f.p, f.n, f.q, lcm(4, f.q), f.q, packed, nbytes)
 
 
 def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
@@ -325,9 +329,10 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
     base = lcm(4, g.p)
     if modulus is None:
         modulus = base
-    elif modulus % base != 0:
-        raise ValueError(f"modulus {modulus} is not a multiple of {base}")
-    return _fast_spectrum(g.p, g.n, g.p, g.table, modulus)
+    elif modulus < 1 or modulus % base != 0:
+        raise ValueError(f"modulus {modulus} is not a positive multiple of {base}")
+    packed, nbytes = _count_butterfly(g.p, g.n, g.p, g.table)
+    return _fast_spectrum(g.p, g.n, g.p, modulus, g.p, packed, nbytes)
 
 
 def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:

@@ -7,10 +7,13 @@ from gbent import (
     CycInt,
     GBFunction,
     PAryFunction,
+    FunctionDoc,
     all_points,
+    analyze,
     build_maiorana,
     compose,
     component_row_table,
+    digits,
     example_maiorana_q21,
     example_maiorana_q27,
     expected_alphas,
@@ -30,6 +33,7 @@ from gbent import (
 )
 from gbent import classify, transform
 from gbent.classify import alpha_element
+from gbent.gbfunc import smallest_exponent
 from conftest import all_slices, component_vectors, rank_vector, random_spec, random_tuple
 
 
@@ -361,6 +365,23 @@ def test_row_table_matches_row_decomp_gbent(rng, p, m, q):
         table = component_row_table(t)
         assert all(d is not None for d in table)
         assert table == tuple(row_decomp(vec, p, 2 * m) for vec in component_vectors(t))
+
+
+@pytest.mark.parametrize(
+    "p,m,q", [(3, 1, 3), (3, 2, 27), (5, 1, 25), (3, 2, 21), (3, 1, 6), (5, 1, 35), (7, 1, 14)]
+)
+def test_analyze_agrees_with_separate_passes(rng, p, m, q):
+    # The one-butterfly report equals regularity(f), and its row table the
+    # components' (for a table at q = p^k, its digits'). A table at general
+    # q, and a function that is not gbent, get no row table.
+    k = smallest_exponent(p, q)
+    for t in (build_maiorana(random_spec(rng, p, m, q)), random_tuple(rng, p, 2 * m, q, k)):
+        f = compose(t)
+        reg = regularity(f)
+        assert analyze(FunctionDoc(f, t)) == (reg, component_row_table(t) if reg.gbent else None)
+        rows = component_row_table(digits(f)) if reg.gbent and f.is_prime_power else None
+        assert analyze(FunctionDoc(f, None)) == (reg, rows)
+    assert rows is None and analyze(FunctionDoc(compose(t), t))[1] is None
 
 
 def _count_calls(monkeypatch, module, name):

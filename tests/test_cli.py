@@ -225,6 +225,36 @@ def test_cli_output_matches_golden(capsys, monkeypatch, case):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
 
 
+def _count_calls(monkeypatch, name, original):
+    """Record every call to original through the attribute `name` of any
+    gbent module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "gbent" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["q27_table", "q27_components", "q21_components"])
+def test_analyze_runs_one_butterfly(capsys, monkeypatch, name):
+    # A table at q = p^k, a components file at q = p^k and one at general q:
+    # the verdict, spectral form and row table share one butterfly, and the
+    # table is never split into digits.
+    from gbent import gbfunc, transform
+
+    butterflies = _count_calls(monkeypatch, "_group_ring_butterfly",
+                               transform._group_ring_butterfly)
+    digit_calls = _count_calls(monkeypatch, "digits", gbfunc.digits)
+    code, out, _ = run(capsys, "analyze", "--input", str(GOLDEN_DIR / f"{name}.json"))
+    assert code == 0 and "\t-\t-\t" not in out  # every point has a row
+    assert (len(butterflies), len(digit_calls)) == (1, 0)
+
+
 @pytest.mark.parametrize(
     "q27_bytes, needle",
     [(b"0 0 0 0 +1 x 0\n", "table_q27.txt:1: invalid literal"),

@@ -9,10 +9,12 @@ from gbent import (
     ComponentTuple,
     CycInt,
     ExactDivisionError,
+    FunctionDoc,
     GBFunction,
     PAryFunction,
     Spectrum,
     all_points,
+    analyze,
     build_maiorana,
     compose,
     example_maiorana_q27,
@@ -28,10 +30,11 @@ from gbent import (
     wht_pary_fast,
 )
 from gbent.cyclotomic import _pack_slots
+from gbent.gbfunc import smallest_exponent
 from gbent.transform import (
     _count_butterfly,
-    _digit_slices,
     _digit_spectra,
+    _fast_spectrum,
     _slice_reader,
     _slot_bytes,
 )
@@ -233,7 +236,7 @@ def test_slice_reader_on_butterfly_outputs(rng, p, n, q, k):
         tuples.append(build_maiorana(random_spec(rng, p, n // 2, q)))
     for t in tuples:
         packed, nbytes = _digit_spectra(t)
-        read = _digit_slices(t)[1]
+        read = _slice_reader(p, p ** (k - 1), nbytes)
         assert [read(v) for v in packed] == [lone_slice(v, p, k, nbytes) for v in packed]
 
 
@@ -249,8 +252,51 @@ def test_fast_pary_larger_modulus(p, n, multiple, seed):
 
 
 def test_fast_pary_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        wht_pary_fast(PAryFunction(3, 1, (0, 1, 2)), 18)
+    # Zero and negative multiples too, before the butterfly runs.
+    for modulus in (18, 0, -12):
+        with pytest.raises(ValueError, match="not a positive multiple of 12"):
+            wht_pary_fast(PAryFunction(3, 1, (0, 1, 2)), modulus)
+
+
+@pytest.mark.parametrize("modulus", [5, 10, 12, 30, 36])
+def test_spectrum_refuses_ring_without_zeta_4_and_zeta_q(modulus):
+    # Z[zeta_12] has no zeta_5: the butterfly would rotate by 12 // 5 = 2
+    # slots, which is zeta_6, and inverse_wht would return zeta_6^x.
+    values = [CycInt.zero(modulus)] * 5
+    with pytest.raises(ValueError, match=r"not a multiple of lcm\(4, 5\)"):
+        Spectrum(5, 1, 5, modulus, values)
+
+
+def test_spectrum_accepts_multiples_of_lcm_4_q():
+    for modulus in (20, 40, 60):
+        assert Spectrum(5, 1, 5, modulus, [CycInt.integer(modulus, 5)] * 5).modulus == modulus
+
+
+# (p, q): q = p, q = p^k, and general q with q/p even (6, 12, 14, 10) and
+# odd (15, 21, 35, 105).
+SLOT_MAP_TARGETS = [(3, 3), (5, 5), (7, 7), (3, 9), (3, 27), (5, 25), (7, 49), (3, 6),
+                    (3, 12), (3, 15), (3, 21), (3, 105), (5, 10), (5, 35), (7, 14)]
+
+
+@pytest.mark.parametrize("p,q", SLOT_MAP_TARGETS)
+def test_slot_map_spectrum_equals_naive_and_composed(rng, p, q):
+    # The spectrum read off the digit-slot butterfly by the slot map, and
+    # analyze's, on random tuples (not gbent) and constructed ones (gbent).
+    k = smallest_exponent(p, q)
+    m = 2 if p == 3 else 1
+    tuples = [random_tuple(rng, p, 2 * m, q, k) for _ in range(2)]
+    tuples += [build_maiorana(random_spec(rng, p, m, q)) for _ in range(2)]
+    verdicts = []
+    for t in tuples:
+        f = compose(t)
+        naive = wht_naive(f)
+        packed, nbytes = _digit_spectra(t)
+        assert _fast_spectrum(p, t.n, q, lcm(4, q), p**k, packed, nbytes) == naive
+        assert wht_composed(t) == naive
+        reg, _ = analyze(FunctionDoc(f, t))
+        assert reg.gbent.spectrum == naive
+        verdicts.append(bool(reg.gbent))
+    assert verdicts == [False, False, True, True]
 
 
 # Prime-power rings with long blocks (M / rad(M) = 54, 50 and 98), and
