@@ -17,8 +17,10 @@ generalized Hadamard matrix H_(p^(k-1)) = H_p tensor ... tensor H_p.
 Rows and columns are indexed big-endian: column i = sum_j a_j p^(k-1-j),
 row r = sum_j v_j p^(k-1-j), pairing entry zeta_p^(v.a); this matches the
 bundled reference tables and the point-index convention used everywhere
-else in the package. For general q a successful row match with one global
-alpha certifies weak regularity and produces the dual
+else in the package, and v.a mod p is entry [r][i] of gbfunc._dot_table,
+the package's one pairing table, which the tensor rows read. For general q
+a successful row match with one global alpha certifies weak regularity
+and produces the dual
 f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
 against the directly computed spectrum. The row table never forms the
 vector: it tests the vector's inverse transform, the digit slices of
@@ -42,10 +44,12 @@ from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
     GBFunction,
+    _dot_table,
     _Record,
     all_points,
     compose,
     index_point,
+    point_index,
 )
 from .transform import (
     LoneSlice,
@@ -235,36 +239,17 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
         return None
     alpha, j = head
     v = []
-    row = 0
     for t in range(km1):
         # Unit vector e_(t+1) has big-endian rank p^(k-2-t).
         hit = candidates.get(values[p ** (km1 - 1 - t)])
         if hit is None or hit[0] != alpha:
             return None
-        digit = (hit[1] - j) % p
-        v.append(digit)
-        row = row * p + digit
-    for value, exponent in zip(values, _hadamard_exponents(p, km1)[row]):
+        v.append((hit[1] - j) % p)
+    row = point_index(p, v)
+    for value, exponent in zip(values, _dot_table(p, km1)[row]):
         if candidates.get(value) != (alpha, (j + exponent) % p):
             return None
     return RowDecomp(alpha, j, tuple(v), row)
-
-
-@lru_cache(maxsize=16)
-def _hadamard_exponents(p: int, km1: int) -> tuple[tuple[int, ...], ...]:
-    """[row][column] -> v.a mod p: the exponents of H_p tensor ... tensor H_p.
-
-    km1 factors, big-endian: appending a digit to both row and column
-    multiplies their ranks by p and adds the product of the new digits.
-    """
-    table = ((0,),)
-    for _ in range(km1):
-        table = tuple(
-            tuple((e + vd * ad) % p for e in old for ad in range(p))
-            for old in table
-            for vd in range(p)
-        )
-    return table
 
 
 def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tuple[CycInt, ...]:
@@ -274,7 +259,7 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     if modulus is None:
         modulus = lcm(4, p)
     step = modulus // p
-    return tuple(root(modulus, e * step) for e in _hadamard_exponents(p, k - 1)[row])
+    return tuple(root(modulus, e * step) for e in _dot_table(p, k - 1)[row])
 
 
 def _slice_decomp(lone: LoneSlice, p: int, n: int, k: int) -> Optional[RowDecomp]:

@@ -29,6 +29,7 @@ from .errors import FunctionFormatError
 from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
+    all_points,
     function_to_text,
     index_point,
     load_function,
@@ -238,9 +239,7 @@ def cmd_tables(args) -> int:
             mismatches, labeling = _diff_rows(t, decomps, golden)
             undecomposed = sum(1 for d in decomps if d is None)
             # Reference-table order: the first coordinate varies fastest.
-            points = [
-                tuple(reversed(index_point(t.p, t.n, i))) for i in range(t.p**t.n)
-            ]
+            points = [u[::-1] for u in all_points(t.p, t.n)]
             if args.format == "text":
                 lines.append(
                     f"table {name}: p={t.p} n={t.n} q={t.q}, "

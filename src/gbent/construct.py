@@ -17,17 +17,23 @@ deliberately uses only the naive transform.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .cyclotomic import is_prime
 from .errors import FunctionFormatError
 from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
     PAryFunction,
+    _checked_vector,
+    _dot_table,
+    _json_object,
     _Record,
+    _require_int,
+    _validate_params,
     all_points,
     compose,
+    point_index,
     read_text,
     smallest_exponent,
 )
@@ -50,33 +56,19 @@ class MaioranaSpec(_Record):
     affines: tuple[AffineSpec, ...]
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.q % self.p != 0:
-            raise ValueError(f"q={self.q} is not a multiple of p={self.p}")
-        object.__setattr__(self, "beta", tuple(self.beta))
+        _require_int("m", self.m, 1)
+        _validate_params(self.p, self.n, self.q)
+        # The pairwise sums over (x_i, x_(i+m)) degenerate at beta_i = 0
+        # and the result cannot be gbent, so zero is rejected outright.
+        object.__setattr__(self, "beta", _checked_vector("beta", self.beta, self.m, 1, self.p))
         object.__setattr__(self, "affines", tuple(self.affines))
-        if len(self.beta) != self.m:
-            raise ValueError(f"need {self.m} quadratic coefficients")
-        for b in self.beta:
-            # The pairwise sums over (x_i, x_(i+m)) degenerate at beta_i = 0
-            # and the result cannot be gbent, so zero is rejected outright.
-            if not 1 <= b < self.p:
-                raise ValueError(f"beta entries must be nonzero mod {self.p}, got {b}")
         if len(self.affines) != self.k - 1:
             raise ValueError(
                 f"q={self.q} needs {self.k - 1} affine components, got {len(self.affines)}"
             )
-        for a in self.affines:
-            if not 0 <= a.c < self.p:
-                raise ValueError(f"affine constant {a.c} out of range")
-            if len(a.w) != self.m:
-                raise ValueError("affine coefficients must cover the first m variables")
-            for wi in a.w:
-                if not 0 <= wi < self.p:
-                    raise ValueError(f"affine coefficient {wi} out of range")
+        for i, a in enumerate(self.affines):
+            _require_int(f"affines[{i}].c", a.c, 0, self.p)
+            _checked_vector(f"affines[{i}].w", a.w, self.m, 0, self.p)
 
     @property
     def n(self) -> int:
@@ -88,21 +80,23 @@ class MaioranaSpec(_Record):
 
 
 def build_maiorana(spec: MaioranaSpec) -> ComponentTuple:
-    """Component tuple of the instance; compose() honors q."""
+    """Component tuple of the instance; compose() honors q.
+
+    A point (y, z), y and z in Z_p^m, has index y p^m + z, so on the block
+    of p^m points with prefix y, f_0 = (beta y).z is the pairing row of the
+    vector beta y, and an affine digit is the constant c + w.y.
+    """
     p, m, n = spec.p, spec.m, spec.n
-    points = all_points(p, n)
-    f0 = PAryFunction(
-        p, n,
-        tuple(sum(b * x[i] * x[i + m] for i, b in enumerate(spec.beta)) % p for x in points),
+    dots = _dot_table(p, m)
+    f0 = chain.from_iterable(
+        dots[point_index(p, [b * yi % p for b, yi in zip(spec.beta, y)])]
+        for y in all_points(p, m)
     )
-    comps = [f0]
+    comps = [PAryFunction(p, n, tuple(f0))]
     for aff in spec.affines:
-        comps.append(
-            PAryFunction(
-                p, n,
-                tuple((aff.c + sum(w * x[i] for i, w in enumerate(aff.w))) % p for x in points),
-            )
-        )
+        values = ((aff.c + d) % p for d in dots[point_index(p, aff.w)])
+        table = chain.from_iterable(repeat(v, p**m) for v in values)
+        comps.append(PAryFunction(p, n, tuple(table)))
     return ComponentTuple(p, n, spec.q, tuple(comps))
 
 
@@ -191,15 +185,7 @@ def quadratic_sweep(p: int = 3) -> list[PAryFunction]:
 
 
 def parse_construction_text(text: str) -> MaioranaSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FunctionFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise FunctionFormatError("construction file must be a JSON object")
-    for field in ("p", "m", "q", "beta", "affines"):
-        if field not in obj:
-            raise FunctionFormatError(f"missing field {field!r}")
+    obj = _json_object(text, "construction", ("p", "m", "q", "beta", "affines"))
     try:
         affines = tuple(
             AffineSpec(a["c"], tuple(a["w"])) for a in obj["affines"]

@@ -554,36 +554,35 @@ class CycInt:
         return f"CycInt({self})"
 
 
-_TERM_RE = re.compile(r"(?:(\d+)\*?)?(?:z(?:\^(\d+))?)?")
+# A term: z with an optional coefficient and exponent, each at least 2, or a
+# constant; no number has a leading zero. The patterns compile on first use,
+# in re's cache, so a process that never parses does not pay for them.
+_TERM = r"(?:(?:[2-9]|[1-9]\d+)\*)?z(?:\^(?:[2-9]|[1-9]\d+))?|[1-9]\d*"
+_LITERAL = rf"\(mod ([1-9]\d*)\) (0|-?(?:{_TERM})(?: [+-] (?:{_TERM}))*)"
+_TERM_PARTS = r"(-| [+-] |)(?:(?:(\d+)\*)?z(?:\^(\d+))?|(\d+))"
 
 
 def parse_cycint(text: str) -> CycInt:
-    """Inverse of str(CycInt); accepts exactly the emitted format."""
-    m = re.fullmatch(r"\(mod (\d+)\)\s*(.+)", text.strip())
+    """Inverse of str(CycInt); accepts exactly the emitted format.
+
+    That is "(mod M) " and then "0", or the nonzero terms at ascending
+    exponents below phi(M), joined by " + " and " - ", the first one
+    signed only when negative. They are the canonical coefficients, read
+    as they stand; any other text is a ValueError.
+    """
+    m = re.fullmatch(_LITERAL, text)
     if not m:
         raise ValueError(f"not a cyclotomic integer literal: {text!r}")
     modulus = int(m.group(1))
-    body = m.group(2).strip()
-    if body == "0":
-        return CycInt.zero(modulus)
-    terms = []
-    normalized = body.replace("- ", "-").replace("+ ", "+")
-    for token in normalized.split():
-        sign = 1
-        if token.startswith("-"):
-            sign, token = -1, token[1:]
-        elif token.startswith("+"):
-            token = token[1:]
-        tm = _TERM_RE.fullmatch(token)
-        if not tm or not token:
-            raise ValueError(f"bad term {token!r} in {text!r}")
-        coeff = int(tm.group(1)) if tm.group(1) else 1
-        if "z" in token:
-            exponent = int(tm.group(2)) if tm.group(2) else 1
-        else:
-            exponent = 0
-        terms.append((exponent, sign * coeff))
-    return CycInt(modulus, _reduce_terms(_context(modulus), terms))
+    coeffs = [0] * _context(modulus).degree
+    last = -1
+    for sign, coeff, power, constant in re.findall(_TERM_PARTS, m.group(2)):
+        exponent = 0 if constant else int(power or 1)
+        if not last < exponent < len(coeffs):
+            raise ValueError(f"exponents of {text!r} do not ascend below phi({modulus})")
+        coeffs[exponent] = int(constant or coeff or 1) * (-1 if "-" in sign else 1)
+        last = exponent
+    return CycInt(modulus, coeffs)
 
 
 def root(modulus: int, t: int) -> CycInt:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import product
-from typing import Optional, Sequence
+from itertools import chain, product
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import is_prime
 from .errors import FunctionFormatError
@@ -41,11 +42,7 @@ def index_point(p: int, n: int, idx: int) -> tuple[int, ...]:
     """Inverse of point_index."""
     if not 0 <= idx < p**n:
         raise ValueError(f"index {idx} out of range for Z_{p}^{n}")
-    out = []
-    for _ in range(n):
-        out.append(idx % p)
-        idx //= p
-    return tuple(reversed(out))
+    return tuple(idx // p ** (n - 1 - i) % p for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -57,6 +54,25 @@ def all_points(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(p), repeat=n))
 
 
+@lru_cache(maxsize=16)
+def _dot_table(p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """[u][x] -> u.x mod p by point index: the one pairing table of Z_p^n,
+    and the exponents of H_p tensor ... tensor H_p (n factors).
+
+    Built one coordinate at a time, big-endian: appending digit d to u and
+    e to x multiplies both indexes by p and adds d e, so entry t spreads
+    to the p entries blocks[d][t]."""
+    blocks = [[tuple((t + d * e) % p for e in range(p)) for t in range(p)] for d in range(p)]
+    table: tuple[tuple[int, ...], ...] = ((0,),)
+    for _ in range(n):
+        table = tuple(
+            tuple(chain.from_iterable(map(spread.__getitem__, old)))
+            for old in table
+            for spread in blocks
+        )
+    return table
+
+
 def smallest_exponent(p: int, q: int) -> int:
     """The smallest k with q <= p^k."""
     k, power = 1, p
@@ -66,12 +82,31 @@ def smallest_exponent(p: int, q: int) -> int:
     return k
 
 
+def _require_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """Refuse value, with a ValueError naming it, unless it is an int (not a
+    bool) in [low, high), or at least low when high is None."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and low <= value and (high is None or value < high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _checked_vector(name: str, values: Sequence[int], length: int, low: int, high: int) -> tuple:
+    """values as a tuple of length entries, each as _require_int checks it."""
+    values = tuple(values)
+    if len(values) != length:
+        raise ValueError(f"{name} must have {length} entries, got {len(values)}")
+    for i, v in enumerate(values):
+        _require_int(f"{name}[{i}]", v, low, high)
+    return values
+
+
 def _validate_params(p: int, n: int, q: int) -> None:
+    for name, value in (("p", p), ("n", n), ("q", q)):
+        _require_int(name, value, 1)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if n < 1:
-        raise ValueError(f"need at least one variable, got n={n}")
-    if q < 1 or q % p != 0:
+    if q % p != 0:
         raise ValueError(f"q must be a positive multiple of p, got q={q}")
 
 
@@ -232,14 +267,20 @@ def digits(f: GBFunction) -> ComponentTuple:
     """
     if not f.is_prime_power:
         raise ValueError(f"q={f.q} is not a power of p={f.p}; cannot take digits")
-    k = f.k
-    comps = []
-    for i in range(k):
-        weight = f.p ** (k - 1 - i)
-        comps.append(
-            PAryFunction(f.p, f.n, tuple((v // weight) % f.p for v in f.table))
-        )
+    comps = (
+        PAryFunction(f.p, f.n, tuple(map(f.p.__rmod__, map(w.__rfloordiv__, f.table))))
+        for w in [f.p ** (f.k - 1 - i) for i in range(f.k)]
+    )
     return ComponentTuple(f.p, f.n, f.q, tuple(comps))
+
+
+def _digit_sum(t: ComponentTuple, weights: Sequence[int], modulus: int) -> tuple[int, ...]:
+    """sum_i weights[i] f_i(x) mod modulus at every point x, one C-level
+    pass per component table."""
+    total: Iterable[int] = [0] * t.p**t.n
+    for w, c in zip(weights, t.components):
+        total = map(add, total, map(w.__mul__, c.table))
+    return tuple(map(modulus.__rmod__, total))
 
 
 def compose(t: ComponentTuple) -> GBFunction:
@@ -249,29 +290,13 @@ def compose(t: ComponentTuple) -> GBFunction:
     digits().
     """
     weights = [t.q // t.p] + [t.p ** (t.k - 1 - i) for i in range(1, t.k)]
-    size = t.p**t.n
-    table = []
-    for x in range(size):
-        v = sum(w * c.table[x] for w, c in zip(weights, t.components))
-        table.append(v % t.q)
-    return GBFunction(t.p, t.n, t.q, tuple(table))
+    return GBFunction(t.p, t.n, t.q, _digit_sum(t, weights, t.q))
 
 
 def combine(t: ComponentTuple, a: Sequence[int]) -> PAryFunction:
     """The p-ary combination f_0 + sum_i a_i f_i mod p, for a in Z_p^(k-1)."""
-    a = tuple(a)
-    if len(a) != t.k - 1:
-        raise ValueError(f"expected {t.k - 1} coefficients, got {len(a)}")
-    for ai in a:
-        if not 0 <= ai < t.p:
-            raise ValueError(f"coefficient {ai} out of range for Z_{t.p}")
-    size = t.p**t.n
-    f0 = t.components[0].table
-    table = []
-    for x in range(size):
-        v = f0[x] + sum(ai * c.table[x] for ai, c in zip(a, t.components[1:]))
-        table.append(v % t.p)
-    return PAryFunction(t.p, t.n, tuple(table))
+    a = _checked_vector("a", a, t.k - 1, 0, t.p)
+    return PAryFunction(t.p, t.n, _digit_sum(t, (1, *a), t.p))
 
 
 # -- function file format -----------------------------------------------------
@@ -290,18 +315,22 @@ class FunctionDoc(_Record):
     components: Optional[ComponentTuple]
 
 
-def parse_function_text(text: str) -> FunctionDoc:
+def _json_object(text: str, kind: str, fields: Sequence[str]) -> dict:
+    """text as a JSON object that has every one of fields."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FunctionFormatError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
-        raise FunctionFormatError("function file must be a JSON object")
-    for field in ("p", "n", "q"):
+        raise FunctionFormatError(f"{kind} file must be a JSON object")
+    for field in fields:
         if field not in obj:
             raise FunctionFormatError(f"missing field {field!r}")
-        if not isinstance(obj[field], int):
-            raise FunctionFormatError(f"field {field!r} must be an integer")
+    return obj
+
+
+def parse_function_text(text: str) -> FunctionDoc:
+    obj = _json_object(text, "function", ("p", "n", "q"))
     p, n, q = obj["p"], obj["n"], obj["q"]
     has_table = "table" in obj
     has_comps = "components" in obj

@@ -12,8 +12,8 @@ from math import lcm
 from typing import Callable
 
 from .cyclotomic import CycInt, gauss_sqrt, root
-from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, all_points, compose,
-                     smallest_exponent)
+from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, _dot_table, all_points,
+                     compose, smallest_exponent)
 from .transform import (
     gamma_general,
     gamma_product,
@@ -88,11 +88,10 @@ def check_root_reconstruction() -> None:
         modulus = lcm(4, p**k)
         step_p = modulus // p
         step_pk = modulus // p**k
-        gammas = {a: gamma_product(p, k, a) for a in all_points(p, k - 1)}
-        for e, u in enumerate(all_points(p, k - 1)):
+        gammas = [gamma_product(p, k, a) for a in all_points(p, k - 1)]
+        for e, dots in enumerate(_dot_table(p, k - 1)):
             acc = CycInt.zero(modulus)
-            for a, gamma in gammas.items():
-                dot = sum(ai * ui for ai, ui in zip(a, u)) % p
+            for gamma, dot in zip(gammas, dots):
                 acc = acc + root(modulus, dot * step_p) * gamma
             assert acc == p ** (k - 1) * root(modulus, e * step_pk), (p, k, e)
 

@@ -20,7 +20,9 @@ One engine computes every spectrum, and two independent paths check it:
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
-                      oracle the tests compare the engine against.
+                      oracle the tests compare the engine against. It reads
+                      u.x mod p off gbfunc._dot_table, the one pairing table,
+                      as gamma_general and classify's Hadamard rows do.
   * wht_composed    - the paper's composition identity
                       S_f = (1/C) sum_a gamma_a S_a over the C = p^(k-1)
                       digit combinations, through the carry coefficients
@@ -89,7 +91,17 @@ from .cyclotomic import (
     root,
 )
 from .errors import ExactDivisionError, InternalConsistencyError
-from .gbfunc import ComponentTuple, GBFunction, PAryFunction, _Record, all_points
+from .gbfunc import (
+    ComponentTuple,
+    GBFunction,
+    PAryFunction,
+    _checked_vector,
+    _digit_sum,
+    _dot_table,
+    _Record,
+    all_points,
+    point_index,
+)
 
 
 class Spectrum(_Record):
@@ -114,16 +126,6 @@ class Spectrum(_Record):
                 )
 
 
-@lru_cache(maxsize=8)
-def _dot_table(p: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """dot(u, x) mod p for all point-index pairs."""
-    points = all_points(p, n)
-    return tuple(
-        tuple(sum(ui * xi for ui, xi in zip(u, x)) % p for x in points)
-        for u in points
-    )
-
-
 def _counts_to_cycint(modulus: int, counts: Sequence[int], step: int = 1) -> CycInt:
     """Canonicalize sum_e counts[e] zeta_modulus^(e step), reading sparse rows."""
     terms = zip(range(0, len(counts) * step, step), counts)
@@ -143,15 +145,12 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
     modulus = lcm(4, q)
     step_p = modulus // p
     step_q = modulus // q
-    dots = _dot_table(p, n)
-    size = p**n
-    shifted = [(f.table[x] * step_q) % modulus for x in range(size)]
+    shifted = [v * step_q % modulus for v in f.table]
     values = []
-    for u in range(size):
-        du = dots[u]
+    for dots in _dot_table(p, n):
         counts = [0] * modulus
-        for x in range(size):
-            counts[(shifted[x] - du[x] * step_p) % modulus] += 1
+        for s, d in zip(shifted, dots):
+            counts[(s - d * step_p) % modulus] += 1
         values.append(_counts_to_cycint(modulus, counts))
     return Spectrum(p, n, q, modulus, tuple(values))
 
@@ -265,9 +264,7 @@ def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
     x starting at the big-endian rank of (f_0(x), ..., f_(k-1)(x)) (see the
     module docstring). Returns the packed elements and the slot bytes.
     """
-    ranks = [0] * t.p**t.n
-    for c in t.components:
-        ranks = [r * t.p + d for r, d in zip(ranks, c.table)]
+    ranks = _digit_sum(t, [t.p ** (t.k - 1 - i) for i in range(t.k)], t.p**t.k)
     return _count_butterfly(t.p, t.n, t.p**t.k, ranks)
 
 
@@ -368,15 +365,9 @@ def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
 
 
 def _check_gamma_params(p: int, k: int, a: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(a)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(a) != k - 1:
-        raise ValueError(f"expected {k - 1} coefficients, got {len(a)}")
-    for ai in a:
-        if not 0 <= ai < p:
-            raise ValueError(f"coefficient {ai} out of range for Z_{p}")
-    return a
+    return _checked_vector("a", a, k - 1, 0, p)
 
 
 def gamma_product(p: int, k: int, a: Sequence[int]) -> CycInt:
@@ -416,8 +407,7 @@ def gamma_general(p: int, k: int, q: int, a: Sequence[int]) -> CycInt:
     step_p = modulus // p
     step_q = modulus // q
     counts = [0] * modulus
-    for rank, v in enumerate(all_points(p, k - 1)):
-        dot = sum(ai * vi for ai, vi in zip(a, v)) % p
+    for rank, dot in enumerate(_dot_table(p, k - 1)[point_index(p, a)]):
         e = ((-dot) % p) * step_p + (rank % q) * step_q
         counts[e % modulus] += 1
     return _counts_to_cycint(modulus, counts)

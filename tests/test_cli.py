@@ -301,3 +301,56 @@ def test_unwritable_output_exit_two(capsys, tmp_path, q27_file, spec21_file, com
     assert (code, out) == (2, "")
     reason = "No such file or directory" if target == "missing-directory" else "Is a directory"
     assert err == f"{command}: cannot write {path}: {reason}\n"
+
+
+# A valid spec on Z_3^2; each case below changes one field to a value that
+# is not an integer of the field's range.
+SMALL_SPEC = {"p": 3, "m": 1, "q": 9, "beta": [1], "affines": [{"c": 0, "w": [1]}]}
+
+
+@pytest.mark.parametrize(
+    "changes, needle",
+    [({"q": 0, "affines": []}, "q must be an integer >= 1, got 0"),
+     ({"q": -3, "affines": []}, "q must be an integer >= 1, got -3"),
+     ({"m": 1.0}, "m must be an integer >= 1, got 1.0"),
+     ({"m": True}, "m must be an integer >= 1, got True"),
+     ({"beta": [1.0]}, "beta[0] must be an integer in [1, 3), got 1.0"),
+     ({"affines": [{"c": 0.0, "w": [1]}]}, "affines[0].c must be an integer in [0, 3), got 0.0")],
+    ids=["q-zero", "q-negative", "m-float", "m-bool", "beta-float", "c-float"],
+)
+def test_construct_bad_field_exit_two(capsys, tmp_path, changes, needle):
+    path = write(tmp_path / "spec.json", json.dumps({**SMALL_SPEC, **changes}))
+    code, out, err = run(capsys, "construct", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and needle in err
+
+
+def test_analyze_bool_field_exit_two(capsys, tmp_path):
+    path = write(tmp_path / "f.json", '{"p": 3, "n": true, "q": 3, "table": [0, 1, 2]}\n')
+    code, out, err = run(capsys, "analyze", "--input", path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "n must be an integer >= 1, got True" in err
+
+
+def test_tables_digit_reversed_golden_exit_zero(capsys, tmp_path):
+    # Relabel every q27 row r = 3 v_1 + v_2 as 3 v_2 + v_1; the q21 rows stay.
+    from importlib import resources
+
+    data = resources.files("gbent").joinpath("data")
+    rows = []
+    for line in data.joinpath("table_q27.txt").read_text().splitlines():
+        fields = line.split()
+        if fields and not line.startswith("#"):
+            r = int(fields[6])
+            fields[6] = str(3 * (r % 3) + r // 3)
+        rows.append(" ".join(fields))
+    golden_dir = tmp_path / "golden"
+    golden_dir.mkdir()
+    write(golden_dir / "table_q27.txt", "\n".join(rows) + "\n")
+    write(golden_dir / "table_q21.txt", data.joinpath("table_q21.txt").read_text())
+    assert any(r.endswith(" 3") for r in rows)  # some label really moved
+    code, out, err = run(capsys, "tables", "--golden", str(golden_dir))
+    assert (code, err) == (0, "")
+    assert "table q27: 7 golden rows, 0 mismatches, 0 undecomposed points " \
+        "(row labeling: digit-reversed)" in out
+    assert "(row labeling: identity)" in out  # q21

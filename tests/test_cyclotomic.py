@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -278,6 +279,35 @@ def test_text_format_example():
     value = root(108, 0) - root(108, 27)
     assert str(value) == "(mod 108) 1 - z^27"
     assert parse_cycint("(mod 108) 1 - z^27") == value
+
+
+@pytest.mark.parametrize("modulus, values", [
+    (1, (-12, -1, 0, 1, 2)),
+    (4, (-12, -1, 0, 1, 2)),
+    (12, (-12, -1, 0, 1, 2)),
+    (9, (-1, 0, 10)),
+])
+def test_every_small_element_round_trips(modulus, values):
+    # Every coefficient vector over values: signs, unit and multi-digit
+    # magnitudes, and every pattern of zero terms.
+    degree = _context(modulus).degree
+    for coeffs in itertools.product(values, repeat=degree):
+        a = CycInt(modulus, coeffs)
+        text = str(a)
+        parsed = parse_cycint(text)
+        assert parsed == a and parsed.coeffs == coeffs and str(parsed) == text
+
+
+@pytest.mark.parametrize("text", [
+    "(mod 12) 3*", "(mod 12) 3z", "(mod 12) 1 z", "(mod 12) z + z",
+    "(mod 12) z^0", "(mod 12) z^1", "(mod 12) 1*z", "(mod 12) +1",
+    "(mod 12) -0", "(mod 12) 01", "(mod 12) z^5", "(mod 12) z^4",
+    "(mod 12) z^2 + 1", "(mod 12) 1 + 0*z", "(mod 12) 1 - -z", "(mod 12) - 1",
+    "(mod 12) 1 +", "(mod 12)  1", " (mod 12) 1", "(mod 12) 1\n", "(mod 012) 1",
+])
+def test_parse_refuses_text_str_never_emits(text):
+    with pytest.raises(ValueError):
+        parse_cycint(text)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from gbent import (
     parse_function_text,
     point_index,
 )
+from gbent.gbfunc import _dot_table
 from conftest import random_tuple
 
 
@@ -37,6 +38,15 @@ def test_point_index_bijection():
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (7, 2)])
 def test_all_points_in_index_order(p, n):
     assert all_points(p, n) == tuple(index_point(p, n, i) for i in range(p**n))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_dot_table_is_the_pairing(p, n):
+    points = all_points(p, n)
+    table = _dot_table(p, n)
+    assert len(table) == p**n
+    for u, row in zip(points, table):
+        assert row == tuple(sum(ui * xi for ui, xi in zip(u, x)) % p for x in points)
 
 
 def test_point_index_rejects_bad_coordinate():
