@@ -28,8 +28,8 @@ transform's butterfly, for one nonzero slice, on the packed element, and
 matches only that slice. row_decomp decomposes an explicit vector and is
 the oracle the tests compare it against. analyze runs that butterfly once
 per function and reads the spectrum off the same packed list by the slot
-map (slot v_0 C + r stands for zeta_q^(((q/p) v_0 + r) mod q)), so its
-verdict, spectral form and row table come from one butterfly.
+map's weights (slot v_0 C + r weighs zeta_q^(((q/p) v_0 + r) mod q)), so
+its verdict, spectral form and row table come from one butterfly.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .transform import (
     _digit_spectra,
     _fast_spectrum,
     _per_distinct,
+    _root_weights,
     _slice_reader,
     wht_fast,
 )
@@ -312,7 +313,8 @@ def analyze(doc: FunctionDoc) -> tuple[RegularityReport, Optional[RowTable]]:
     if t is None and not f.is_prime_power:
         return regularity(f), None
     butterfly = _count_butterfly(f.p, f.n, f.q, f.table) if t is None else _digit_spectra(t)
-    reg = regularity(f, _fast_spectrum(f.p, f.n, f.q, lcm(4, f.q), f.p**f.k, *butterfly))
+    weights = _root_weights(f.p, f.q, lcm(4, f.q), f.p**f.k)
+    reg = regularity(f, _fast_spectrum(f.p, f.n, f.q, weights, *butterfly))
     return reg, _row_table(f.p, f.n, f.k, *butterfly) if reg.gbent else None
 
 

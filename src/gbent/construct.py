@@ -57,6 +57,10 @@ class MaioranaSpec(_Record):
 
     def __post_init__(self):
         _require_int("m", self.m, 1)
+        _require_int("p", self.p, 1)
+        # Over 2^32 points cannot be held; 2m > 32 is over at p >= 3.
+        if self.p >= 3 and (self.n > 32 or self.p**self.n > 2**32):
+            raise ValueError(f"p^(2m) = {self.p}^{self.n} points exceed 2^32")
         _validate_params(self.p, self.n, self.q)
         # The pairwise sums over (x_i, x_(i+m)) degenerate at beta_i = 0
         # and the result cannot be gbent, so zero is rejected outright.

@@ -101,24 +101,27 @@ def _checked_vector(name: str, values: Sequence[int], length: int, low: int, hig
     return values
 
 
-def _validate_params(p: int, n: int, q: int) -> None:
+def _validate_params(p: int, n: int, q: int, length: Optional[int] = None) -> None:
+    """Refuse parameters no function Z_p^n -> Z_q has. A table length is
+    compared first, so a file's own size bounds the p that the primality
+    test (trial division) sees; p^n > length once n > its bit length."""
     for name, value in (("p", p), ("n", n), ("q", q)):
         _require_int(name, value, 1)
+    if p >= 3 and length is not None and (n > length.bit_length() or length != p**n):
+        raise ValueError(f"table length {length} != {p}^{n}")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if q % p != 0:
         raise ValueError(f"q must be a positive multiple of p, got q={q}")
 
 
-def _checked_table(table: Sequence[int], p: int, n: int, q: int) -> tuple[int, ...]:
-    """table as a tuple of p^n entries, each an int (not a bool) in [0, q).
+def _checked_table(table: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """table, whose length _validate_params has checked, if each entry is an
+    int (not a bool) in [0, q).
 
     The entry types and the range are each one C-level pass; the entries are
     looped over only to name the first bad one, or to vet int subclasses.
     """
-    table = tuple(table)
-    if len(table) != p**n:
-        raise ValueError(f"table length {len(table)} != {p}^{n}")
     if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= q:
         for i, v in enumerate(table):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
@@ -204,8 +207,9 @@ class GBFunction(_Record):
     table: tuple[int, ...]
 
     def __post_init__(self):
-        _validate_params(self.p, self.n, self.q)
-        object.__setattr__(self, "table", _checked_table(self.table, self.p, self.n, self.q))
+        table = tuple(self.table)
+        _validate_params(self.p, self.n, self.q, len(table))
+        object.__setattr__(self, "table", _checked_table(table, self.q))
 
     @property
     def k(self) -> int:
@@ -224,8 +228,9 @@ class PAryFunction(_Record):
     table: tuple[int, ...]
 
     def __post_init__(self):
-        _validate_params(self.p, self.n, self.p)
-        object.__setattr__(self, "table", _checked_table(self.table, self.p, self.n, self.p))
+        table = tuple(self.table)
+        _validate_params(self.p, self.n, self.p, len(table))
+        object.__setattr__(self, "table", _checked_table(table, self.p))
 
     def as_gbfunction(self) -> GBFunction:
         return GBFunction(self.p, self.n, self.p, self.table)
@@ -240,8 +245,10 @@ class ComponentTuple(_Record):
     components: tuple[PAryFunction, ...]
 
     def __post_init__(self):
-        _validate_params(self.p, self.n, self.q)
         object.__setattr__(self, "components", tuple(self.components))
+        if not self.components:  # no k >= 1 matches, and no table bounds p
+            raise ValueError(f"q={self.q} needs at least one component, got 0")
+        _validate_params(self.p, self.n, self.q)
         k = smallest_exponent(self.p, self.q)
         if len(self.components) != k:
             raise ValueError(

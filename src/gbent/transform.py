@@ -15,8 +15,8 @@ One engine computes every spectrum, and two independent paths check it:
                       bigint adds. Point x starts as one count at slot f(x).
                       Within a pass, groups with equal inputs are computed
                       once and share their outputs; structured inputs
-                      repeat many. The slot map (below) then reads each
-                      distinct element as its canonical form in Z[zeta_M].
+                      repeat many. The slot map's weights (below) then
+                      read each distinct element into Z[zeta_M].
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
@@ -33,19 +33,19 @@ A component tuple runs the same butterfly over p^k digit slots
 (f_0(x), ..., f_(k-1)(x)), and since zeta_p moves only the leading digit,
 slot v_0 C + r at u (C = p^(k-1)) counts the x with f_0(x) - u.x = v_0
 mod p whose lower digits have rank r. At q = p^k the rank of f(x)'s digits
-is f(x), so a table's butterfly over q slots is this same list. The slot
-map reads the spectrum off either layout (_fast_spectrum): slot v_0 C + r,
-C = slots/p, stands for zeta_q^(((q/p) v_0 + r) mod q), which over q slots
-is zeta_q^e at slot e and over digit slots is zeta_q^(compose's value of
-those digits). Slice r, the p counts at slots r, r + C, ..., read as an
-element of Z[zeta_p], is the inverse Hadamard transform at row r of the
-vector of combination spectra (S_a(u))_a, and a lone nonconstant slice,
-found on the packed element by _slice_reader, is all the row test needs.
-So classify.analyze reads the verdict, the spectral form and the row table
-off one butterfly. wht_composed sums the other way round, weighting slot
-v_0 C + r by zeta_p^(v_0) w_r with w_r = inverse_wht of the gamma table at
-r, Kronecker-packed in signed slots (cyclotomic), so each composed value is
-one sum of bigint products, unpacked once.
+is f(x), so a table's butterfly over q slots is this same list. One reader,
+_fast_spectrum, turns either layout into values: sum_e count_e weight_e at
+each distinct element. The slot map is a table of such weights
+(_root_weights): slot v_0 C + r, C = slots/p, weighs
+zeta_q^(((q/p) v_0 + r) mod q), compose's value of those digits.
+wht_composed reads the digit slots with the carry weights zeta_p^(v_0) w_r,
+w_r the inverse_wht of the gamma table at r (_gamma_weights), which equal
+the roots by the root-reconstruction identity w_r = zeta_q^r. Slice r, the
+p counts at slots r, r + C, ..., read as an element of Z[zeta_p], is the
+inverse Hadamard transform at row r of the vector of combination spectra
+(S_a(u))_a, and a lone nonconstant slice, found on the packed element by
+_slice_reader, is all the row test needs. So classify.analyze reads the
+verdict, the spectral form and the row table off one butterfly.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -241,22 +241,32 @@ def _per_distinct(items: Sequence, convert: Callable) -> tuple:
 
 
 def _fast_spectrum(
-    p: int, n: int, q: int, modulus: int, slots: int, packed: Sequence[int], nbytes: int
+    p: int, n: int, q: int, weights: Sequence[CycInt], packed: Sequence[int], nbytes: int
 ) -> Spectrum:
-    """The spectrum of packed butterfly output over `slots` slots, by the slot
-    map: block v_0 of C = slots/p slots moves to slot (q/p) v_0, and slots
-    from q on wrap to the bottom (X^q = 1), before the q counts of each
-    distinct element are canonicalized."""
-    bits = 8 * nbytes
-    block, lead, width = (slots // p) * bits, (q // p) * bits, q * bits
-    low, mask = (1 << block) - 1, (1 << width) - 1
+    """The spectrum of packed butterfly output over len(weights) slots: at
+    each distinct element, sum_e count_e weights[e], in the weights' ring.
+
+    The weights are Kronecker-packed once, by _pack_signed. The slot counts
+    of one element sum to p^n, so slots above 2 p^n max|coefficient| hold
+    the sum, which is one linear combination of bigints, unpacked once.
+    """
+    modulus, degree = weights[0].modulus, len(weights[0].coeffs)
+    wbytes = _slot_bytes(2 * p**n * max(max(map(abs, w.coeffs)) for w in weights))
+    packs = [_pack_signed(w.coeffs, wbytes) for w in weights]
 
     def value(v: int) -> CycInt:
-        moved = sum(((v >> (i * block)) & low) << (i * lead) for i in range(p))
-        counts = _slot_counts((moved & mask) + (moved >> width), q, nbytes)
-        return _counts_to_cycint(modulus, counts, modulus // q)
+        total = sum(map(mul, _slot_counts(v, len(packs), nbytes), packs))
+        return CycInt(modulus, _unpack_signed(total, degree, wbytes))
 
     return Spectrum(p, n, q, modulus, _per_distinct(packed, value))
+
+
+@lru_cache(maxsize=32)
+def _root_weights(p: int, q: int, modulus: int, slots: int) -> tuple[CycInt, ...]:
+    """The slot map as weights: slot v_0 C + r, C = slots/p, stands for
+    zeta_q^(((q/p) v_0 + r) mod q) in Z[zeta_modulus]."""
+    exps = [((q // p) * v + r) % q for v in range(p) for r in range(slots // p)]
+    return tuple(root(modulus, e * (modulus // q)) for e in exps)
 
 
 def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
@@ -309,11 +319,11 @@ def _slice_reader(p: int, combos: int, nbytes: int) -> Callable[[int], LoneSlice
 def wht_fast(f: GBFunction) -> Spectrum:
     """The spectrum of any function Z_p^n -> Z_q by the packed butterfly.
 
-    O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one sparse
-    canonicalization per distinct value. Agrees entrywise with wht_naive.
+    O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one weighted sum
+    of the slot counts per distinct value. Agrees entrywise with wht_naive.
     """
-    packed, nbytes = _count_butterfly(f.p, f.n, f.q, f.table)
-    return _fast_spectrum(f.p, f.n, f.q, lcm(4, f.q), f.q, packed, nbytes)
+    weights = _root_weights(f.p, f.q, lcm(4, f.q), f.q)
+    return _fast_spectrum(f.p, f.n, f.q, weights, *_count_butterfly(f.p, f.n, f.q, f.table))
 
 
 def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
@@ -328,8 +338,8 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
         modulus = base
     elif modulus < 1 or modulus % base != 0:
         raise ValueError(f"modulus {modulus} is not a positive multiple of {base}")
-    packed, nbytes = _count_butterfly(g.p, g.n, g.p, g.table)
-    return _fast_spectrum(g.p, g.n, g.p, modulus, g.p, packed, nbytes)
+    weights = _root_weights(g.p, g.p, modulus, g.p)
+    return _fast_spectrum(g.p, g.n, g.p, weights, *_count_butterfly(g.p, g.n, g.p, g.table))
 
 
 def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
@@ -432,16 +442,13 @@ def gamma_table(p: int, k: int, q: int) -> GammaTable:
 
 
 @lru_cache(maxsize=32)
-def _gamma_weights(p: int, k: int, q: int, points: int) -> tuple[int, tuple[int, ...]]:
+def _gamma_weights(p: int, k: int, q: int) -> tuple[CycInt, ...]:
     """zeta_p^(v_0) w_r for every digit slot v_0 C + r of _digit_spectra.
 
     w_r = (1/C) sum_a zeta_p^(a.v') gamma_a, with v' the digits of rank r,
     is inverse_wht of the gamma table over Z_p^(k-1); a remainder in its
     division by C means the gamma table is wrong. Each weight is the
-    canonical form of the product in Z[zeta_M], Kronecker-packed by
-    _pack_signed. The slot counts of one point sum to p^n = points, so
-    slots above 2 points max|coefficient| hold any sum of the weights times
-    those counts. Returns the slot bytes and the weights.
+    canonical form of the product in Z[zeta_M].
     """
     modulus = lcm(4, q)
     step = modulus // p
@@ -452,10 +459,7 @@ def _gamma_weights(p: int, k: int, q: int, points: int) -> tuple[int, tuple[int,
         raise InternalConsistencyError(
             f"gamma table not divisible by p^(k-1): {e}"
         ) from None
-    products = [root(modulus, e * step) * w for e in range(p) for w in rows]
-    bound = points * max(abs(c) for w in products for c in w.coeffs)
-    nbytes = _slot_bytes(2 * bound)
-    return nbytes, tuple(_pack_signed(w.coeffs, nbytes) for w in products)
+    return tuple(root(modulus, e * step) * w for e in range(p) for w in rows)
 
 
 def wht_composed(t: ComponentTuple) -> Spectrum:
@@ -465,21 +469,11 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     S_a is the spectrum of the combination f_0 + sum a_i f_i and
     C = p^(k-1). Expanding each S_a over the digit counts of _digit_spectra
     and summing over a first gives S_f(u) = sum over slots v_0 C + r of the
-    count times zeta_p^(v_0) w_r (_gamma_weights): one linear combination
-    of packed bigints per distinct point, unpacked once into canonical
-    coefficients. Equal entrywise to wht_naive(compose(t)).
+    count times zeta_p^(v_0) w_r (_gamma_weights), which _fast_spectrum
+    reads as it reads the slot map's roots. Equal entrywise to
+    wht_naive(compose(t)).
     """
-    p, k, q = t.p, t.k, t.q
-    modulus = lcm(4, q)
-    degree = _context(modulus).degree
-    wbytes, weights = _gamma_weights(p, k, q, p**t.n)
-    packed, nbytes = _digit_spectra(t)
-
-    def assemble(v: int) -> CycInt:
-        total = sum(map(mul, _slot_counts(v, p**k, nbytes), weights))
-        return CycInt(modulus, _unpack_signed(total, degree, wbytes))
-
-    return Spectrum(t.p, t.n, t.q, modulus, _per_distinct(packed, assemble))
+    return _fast_spectrum(t.p, t.n, t.q, _gamma_weights(t.p, t.k, t.q), *_digit_spectra(t))
 
 
 # -- spectrum dump format ------------------------------------------------------

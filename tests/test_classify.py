@@ -399,7 +399,7 @@ def _count_calls(monkeypatch, module, name):
 def test_one_butterfly_per_tuple(monkeypatch, tuple_q27):
     transform._gamma_weights.cache_clear()
     calls = _count_calls(monkeypatch, transform, "_group_ring_butterfly")
-    transform._gamma_weights(3, 3, 27, 81)
+    transform._gamma_weights(3, 3, 27)
     assert len(calls) == 1  # the cold fill: one inverse butterfly over Z_3^2
     component_row_table(tuple_q27)
     assert len(calls) == 2

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -354,3 +356,30 @@ def test_tables_digit_reversed_golden_exit_zero(capsys, tmp_path):
     assert "table q27: 7 golden rows, 0 mismatches, 0 undecomposed points " \
         "(row labeling: digit-reversed)" in out
     assert "(row labeling: identity)" in out  # q21
+
+
+P61 = 2**61 - 1  # a Mersenne prime
+
+
+@pytest.mark.parametrize(
+    "command, payload, needle",
+    [("analyze", {"p": 3, "n": 30000000, "q": 3, "table": [0]}, "table length 1 != 3^30000000"),
+     ("analyze", {"p": P61, "n": 1, "q": P61, "table": [0]}, f"table length 1 != {P61}^1"),
+     ("analyze", {"p": P61, "n": 1, "q": P61, "components": [[0]]}, f"table length 1 != {P61}^1"),
+     ("analyze", {"p": P61, "n": 1, "q": P61, "components": []}, "needs at least one component"),
+     ("construct", {"p": P61, "m": 1, "q": P61, "beta": [1], "affines": []},
+      f"p^(2m) = {P61}^2 points exceed 2^32"),
+     ("construct", {"p": 3, "m": 12, "q": 3, "beta": [1] * 12, "affines": []},
+      "p^(2m) = 3^24 points exceed 2^32")],
+    ids=["huge-n", "huge-p-table", "huge-p-components", "huge-p-no-components",
+         "huge-p-spec", "spec-3^24-points"],
+)
+def test_unbuildable_input_exit_two_at_once(tmp_path, command, payload, needle):
+    # A fresh process, so no cache hides the cost; each of these ran for
+    # seconds before its size was checked ahead of the primality test.
+    path = write(tmp_path / "input.json", json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-m", "gbent.cli", command, "--input", path],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1 and needle in done.stderr

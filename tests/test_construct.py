@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,19 @@ def test_zero_beta_rejected():
     with pytest.raises(ValueError):
         MaioranaSpec(p=3, m=2, q=27, beta=(0, 1), affines=(
             AffineSpec(0, (0, 0)), AffineSpec(0, (0, 0))))
+
+
+def test_spec_over_2_32_points_refused():
+    # Refused from m and p before the primality test (the CLI tests time a
+    # huge p); 2m > 32 alone refuses, with no huge power.
+    for p, m, needle in [(3, 12, "p^(2m) = 3^24 points exceed 2^32"),
+                         (3, 10**9, f"p^(2m) = 3^{2 * 10**9} points exceed 2^32")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+            MaioranaSpec(p=p, m=m, q=p, beta=(1,) * min(m, 12), affines=())
+    # 3^20 points are under the bound: only the parameters are checked.
+    assert MaioranaSpec(p=3, m=10, q=3, beta=(1,) * 10, affines=()).n == 20
+    with pytest.raises(ValueError, match="^p must be an odd prime, got 1$"):
+        MaioranaSpec(p=1, m=20, q=3, beta=(1,) * 20, affines=())
 
 
 def test_constant_digits_instance():

@@ -224,3 +224,23 @@ def test_function_file_round_trip(rng):
 def test_bad_function_files(payload):
     with pytest.raises(FunctionFormatError):
         parse_function_text(payload)
+
+
+def test_each_failed_check_keeps_its_message():
+    # The table length is compared before p's primality test (the CLI tests
+    # time huge p and n); an input that fails one check is told that one.
+    for args, needle in [
+        ((9, 2, 9, (0,) * 81), "p must be an odd prime, got 9"),
+        ((1, 40, 3, (0,)), "p must be an odd prime, got 1"),
+        ((3, 2, 3, (0,) * 8), "table length 8 != 3^2"),
+        ((3, 1, 4, (0, 0, 0)), "q must be a positive multiple of p, got q=4"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+            GBFunction(*args)
+        if args[0] == args[2]:
+            with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+                PAryFunction(*args[:2], args[3])
+    with pytest.raises(ValueError, match="^q=27 needs at least one component, got 0$"):
+        ComponentTuple(3, 1, 27, ())
+    with pytest.raises(ValueError, match="^q=27 needs exactly 3 components, got 1$"):
+        ComponentTuple(3, 1, 27, (PAryFunction(3, 1, (0, 0, 0)),))

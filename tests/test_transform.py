@@ -35,6 +35,8 @@ from gbent.transform import (
     _count_butterfly,
     _digit_spectra,
     _fast_spectrum,
+    _gamma_weights,
+    _root_weights,
     _slice_reader,
     _slot_bytes,
 )
@@ -291,7 +293,8 @@ def test_slot_map_spectrum_equals_naive_and_composed(rng, p, q):
         f = compose(t)
         naive = wht_naive(f)
         packed, nbytes = _digit_spectra(t)
-        assert _fast_spectrum(p, t.n, q, lcm(4, q), p**k, packed, nbytes) == naive
+        weights = _root_weights(p, q, lcm(4, q), p**k)
+        assert _fast_spectrum(p, t.n, q, weights, packed, nbytes) == naive
         assert wht_composed(t) == naive
         reg, _ = analyze(FunctionDoc(f, t))
         assert reg.gbent.spectrum == naive
@@ -542,3 +545,18 @@ def test_naive_jobs_deterministic():
     serial = wht_naive(f, jobs=1)
     parallel = wht_naive(f, jobs=2)
     assert serial.values == parallel.values
+
+
+# Every q = p s with p^k <= 125, and three general q with larger k.
+WEIGHT_TARGETS = [(p, q) for p in (3, 5, 7) for q in range(p, 126, p)
+                  if p ** smallest_exponent(p, q) <= 125]
+WEIGHT_TARGETS += [(p, q) for q in (210, 245, 301) for p in (3, 5, 7) if q % p == 0]
+
+
+def test_carry_weights_are_the_slot_map_roots():
+    # zeta_p^(v_0) w_r = zeta_q^(((q/p) v_0 + r) mod q) slot for slot: the
+    # root-reconstruction identity, on which wht_composed and the engine
+    # share one reader.
+    for p, q in WEIGHT_TARGETS:
+        k = smallest_exponent(p, q)
+        assert _gamma_weights(p, k, q) == _root_weights(p, q, lcm(4, q), p**k), (p, q)
