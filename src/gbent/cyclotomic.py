@@ -41,6 +41,15 @@ over nonzero pairs, which is faster for them. A norm z conj(z) is the same
 product of the coefficients with their reversal, an autocorrelation whose
 nonnegative exponents are already canonical. The spectrum engine packs its
 group-ring elements in the same slots, unsigned.
+
+Text is read and written through one cached table per modulus (_symbols):
+the symbols "z", "z^2", ... of the powers below phi(M), in order, each
+mapped to its exponent. str() zips the coefficients with it and renders
+each nonzero term, sign included, in one f-string; parse_cycint checks the
+whole literal once against its grammar, then splits the validated body at
+its spaces and each term at its "*", and looks each symbol up in the same
+table, so an exponent at or past phi(M) is refused there. No ring is built
+for a modulus over MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from array import array
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExactDivisionError, InternalConsistencyError, ModulusMismatchError
@@ -208,20 +218,26 @@ def _unpack_signed(packed: int, slots: int, nbytes: int) -> Sequence[int]:
     return _read_slots(raw, nbytes, True)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """The coefficients of the polynomial product of a and b, len(a) = len(b).
+def _convolve(a: Sequence[int], b: Optional[Sequence[int]] = None) -> Sequence[int]:
+    """The coefficients of the polynomial product of a and b, len(a) = len(b);
+    without b, of a and its reversal (the autocorrelation of a).
 
     Dense operands (nnz(a) nnz(b) > len(a)) take one bigint product of
     their signed packings, in slots above twice the largest product
     coefficient; sparse ones, such as roots of unity, loop over their
-    nonzero pairs.
+    nonzero pairs. A reversal has the nonzero count and bound of a, so an
+    autocorrelation takes them once.
     """
     deg = len(a)
+    auto = b is None
+    if auto:
+        b = a[::-1]
     nnz_a = deg - a.count(0)
-    nnz_b = deg - b.count(0)
+    nnz_b = nnz_a if auto else deg - b.count(0)
     if nnz_a * nnz_b > deg:
-        bound = min(nnz_a, nnz_b) * max(max(a), -min(a)) * max(max(b), -min(b))
-        nbytes = _slot_bytes(2 * bound)
+        big_a = max(max(a), -min(a))
+        big_b = big_a if auto else max(max(b), -min(b))
+        nbytes = _slot_bytes(2 * min(nnz_a, nnz_b) * big_a * big_b)
         product = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
         return _unpack_signed(product, 2 * deg - 1, nbytes)
     conv = [0] * (2 * deg - 1)
@@ -260,6 +276,23 @@ def _power_rows(phi: Sequence[int], order: int) -> list[tuple[tuple[int, int], .
     return rows
 
 
+# The largest ring modulus built; a larger one is refused before any table.
+# The tables grow with the primes of M more than with M. Under this cap the
+# costliest multiple of 4 (as M = lcm(4, q) is) is 4620 = 4*3*5*7*11, built
+# in 0.7 s with a 128 MB peak, and the costliest of all 4641 = 3*7*13*17,
+# in 3.4 s with 600 MB; M = 12012 = 4*3*7*11*13 would take 4.1 s and 770 MB
+# (CPython 3.11, x86-64, peak RSS of a fresh process).
+MAX_MODULUS = 5000
+
+
+def _check_modulus(modulus: int) -> None:
+    """Refuse, with a ValueError, a ring modulus M < 1 or over MAX_MODULUS."""
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"ring modulus {modulus} exceeds {MAX_MODULUS}")
+
+
 class _Context:
     """Per-modulus tables, read off Phi_M(x) = Phi_R(x^s), R = rad(M), s = M/R.
 
@@ -278,8 +311,7 @@ class _Context:
     __slots__ = ("modulus", "degree", "spread", "rows", "fold", "sparse_powers")
 
     def __init__(self, modulus: int):
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
+        _check_modulus(modulus)
         primes = _prime_factors(modulus)
         radical = prod(primes)
         spread = modulus // radical
@@ -435,17 +467,17 @@ class CycInt:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CycInt(a.modulus, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycInt(a.modulus, map(add, a.coeffs, b.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return CycInt(a.modulus, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycInt(a.modulus, map(sub, a.coeffs, b.coeffs))
 
     def __rsub__(self, other):
         a, b = self._pair(other)
-        return CycInt(a.modulus, tuple(y - x for x, y in zip(a.coeffs, b.coeffs)))
+        return CycInt(a.modulus, map(sub, b.coeffs, a.coeffs))
 
     def __neg__(self):
         return CycInt(self.modulus, tuple(-x for x in self.coeffs))
@@ -486,13 +518,18 @@ class CycInt:
         One autocorrelation: the product of the coefficients with their
         reversal holds sum_i c_i c_(i-e) at slot e + deg - 1, the coefficient
         of zeta_M^e in z conj(z). The exponents 0 <= e < deg are already
-        canonical; only the deg - 1 negative ones are reduced.
+        canonical; only the deg - 1 negative ones are reduced, slot i by the
+        sparse row of zeta_M^(i - deg + 1) = zeta_M^(M - deg + 1 + i).
         """
         ctx = _context(self.modulus)
         deg = ctx.degree
-        conv = _convolve(self.coeffs, self.coeffs[::-1])
-        negative = zip(range(1 - deg, 0), conv[: deg - 1])
-        return CycInt(self.modulus, _reduce_terms(ctx, negative, list(conv[deg - 1 :])))
+        conv = _convolve(self.coeffs)
+        acc = list(conv[deg - 1 :])
+        for c, row in zip(conv, ctx.sparse_powers[ctx.modulus - deg + 1 :]):
+            if c:
+                for l, r in row:
+                    acc[l] += c * r
+        return CycInt(self.modulus, acc)
 
     def divide_exact(self, divisor: int) -> "CycInt":
         """Divide every coefficient by an integer; error on any remainder."""
@@ -533,22 +570,21 @@ class CycInt:
         return hash((self.modulus, self.coeffs))
 
     def __str__(self):
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                sym = "z" if j == 1 else f"z^{j}"
-                body = sym if mag == 1 else f"{mag}*{sym}"
-            if not terms:
-                terms.append(f"-{body}" if c < 0 else body)
-            else:
-                terms.append(f"{'-' if c < 0 else '+'} {body}")
-        poly = " ".join(terms) if terms else "0"
-        return f"(mod {self.modulus}) {poly}"
+        # Every nonzero term is rendered with its separator, " + " or " - ";
+        # the first one's becomes "-" or nothing.
+        coeffs = iter(self.coeffs)
+        c = next(coeffs)
+        terms = [f" + {c}" if c > 0 else f" - {-c}"] if c else []
+        for c, sym in zip(coeffs, _symbols(self.modulus)):
+            if c:
+                if c > 0:
+                    terms.append(f" + {sym}" if c == 1 else f" + {c}*{sym}")
+                else:
+                    terms.append(f" - {sym}" if c == -1 else f" - {-c}*{sym}")
+        if not terms:
+            return f"(mod {self.modulus}) 0"
+        poly = "".join(terms)
+        return f"(mod {self.modulus}) {'-' if poly[1] == '-' else ''}{poly[3:]}"
 
     def __repr__(self):
         return f"CycInt({self})"
@@ -559,7 +595,13 @@ class CycInt:
 # in re's cache, so a process that never parses does not pay for them.
 _TERM = r"(?:(?:[2-9]|[1-9]\d+)\*)?z(?:\^(?:[2-9]|[1-9]\d+))?|[1-9]\d*"
 _LITERAL = rf"\(mod ([1-9]\d*)\) (0|-?(?:{_TERM})(?: [+-] (?:{_TERM}))*)"
-_TERM_PARTS = r"(-| [+-] |)(?:(?:(\d+)\*)?z(?:\^(\d+))?|(\d+))"
+
+
+@lru_cache(maxsize=64)
+def _symbols(modulus: int) -> dict[str, int]:
+    """The text of each power zeta_M^j, 0 < j < phi(M), mapped to j, in
+    ascending order: "z", "z^2", ..."""
+    return {f"z^{j}" if j > 1 else "z": j for j in range(1, _context(modulus).degree)}
 
 
 def parse_cycint(text: str) -> CycInt:
@@ -573,15 +615,23 @@ def parse_cycint(text: str) -> CycInt:
     m = re.fullmatch(_LITERAL, text)
     if not m:
         raise ValueError(f"not a cyclotomic integer literal: {text!r}")
-    modulus = int(m.group(1))
-    coeffs = [0] * _context(modulus).degree
-    last = -1
-    for sign, coeff, power, constant in re.findall(_TERM_PARTS, m.group(2)):
-        exponent = 0 if constant else int(power or 1)
-        if not last < exponent < len(coeffs):
-            raise ValueError(f"exponents of {text!r} do not ascend below phi({modulus})")
-        coeffs[exponent] = int(constant or coeff or 1) * (-1 if "-" in sign else 1)
-        last = exponent
+    modulus, body = int(m.group(1)), m.group(2)
+    degree = _context(modulus).degree
+    coeffs = [0] * degree
+    if body != "0":
+        exponents = _symbols(modulus)
+        tokens = iter(("- " + body[1:] if body[0] == "-" else "+ " + body).split(" "))
+        last = -1
+        for sign, term in zip(tokens, tokens):
+            coeff, _, sym = term.rpartition("*")
+            if sym[0] == "z":
+                exponent, c = exponents.get(sym, degree), int(coeff or 1)
+            else:
+                exponent, c = 0, int(sym)
+            if not last < exponent < degree:
+                raise ValueError(f"exponents of {text!r} do not ascend below phi({modulus})")
+            coeffs[exponent] = -c if sign == "-" else c
+            last = exponent
     return CycInt(modulus, coeffs)
 
 

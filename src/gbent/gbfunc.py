@@ -21,10 +21,11 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain, product
+from math import lcm
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import is_prime
+from .cyclotomic import _check_modulus, is_prime
 from .errors import FunctionFormatError
 
 
@@ -102,13 +103,16 @@ def _checked_vector(name: str, values: Sequence[int], length: int, low: int, hig
 
 
 def _validate_params(p: int, n: int, q: int, length: Optional[int] = None) -> None:
-    """Refuse parameters no function Z_p^n -> Z_q has. A table length is
+    """Refuse parameters no function Z_p^n -> Z_q has, or whose ring
+    Z[zeta_M], M = lcm(4, q), is too large to build. A table length is
     compared first, so a file's own size bounds the p that the primality
-    test (trial division) sees; p^n > length once n > its bit length."""
+    test (trial division) sees; p^n > length once n > its bit length. The
+    ring modulus comes next, before any table of q slots is allocated."""
     for name, value in (("p", p), ("n", n), ("q", q)):
         _require_int(name, value, 1)
     if p >= 3 and length is not None and (n > length.bit_length() or length != p**n):
         raise ValueError(f"table length {length} != {p}^{n}")
+    _check_modulus(lcm(4, q))
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if q % p != 0:

@@ -370,13 +370,18 @@ P61 = 2**61 - 1  # a Mersenne prime
      ("construct", {"p": P61, "m": 1, "q": P61, "beta": [1], "affines": []},
       f"p^(2m) = {P61}^2 points exceed 2^32"),
      ("construct", {"p": 3, "m": 12, "q": 3, "beta": [1] * 12, "affines": []},
-      "p^(2m) = 3^24 points exceed 2^32")],
+      "p^(2m) = 3^24 points exceed 2^32"),
+     ("analyze", {"p": 3, "n": 1, "q": 3 * 10**12, "table": [0, 0, 0]},
+      f"ring modulus {3 * 10**12} exceeds 5000"),
+     ("analyze", {"p": 3, "n": 1, "q": 3**30, "table": [0, 0, 0]},
+      f"ring modulus {4 * 3**30} exceeds 5000")],
     ids=["huge-n", "huge-p-table", "huge-p-components", "huge-p-no-components",
-         "huge-p-spec", "spec-3^24-points"],
+         "huge-p-spec", "spec-3^24-points", "huge-q", "q-3^30"],
 )
 def test_unbuildable_input_exit_two_at_once(tmp_path, command, payload, needle):
     # A fresh process, so no cache hides the cost; each of these ran for
-    # seconds before its size was checked ahead of the primality test.
+    # seconds, or ran out of memory, before its size was checked ahead of
+    # the primality test and of any ring table.
     path = write(tmp_path / "input.json", json.dumps(payload))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-S", "-m", "gbent.cli", command, "--input", path],

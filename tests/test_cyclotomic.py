@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 import sympy
@@ -125,6 +126,19 @@ def test_nonpositive_modulus_is_refused(modulus):
         parse_cycint(f"(mod {modulus}) 0")
     with pytest.raises(ValueError, match="modulus must be positive"):
         cyclotomic_polynomial(modulus)
+
+
+def test_ring_cap_refuses_before_any_table():
+    # None of these starts a table: sparse_powers alone would hold one
+    # entry per power of zeta_M, 3 10^12 of them.
+    huge = 3 * 10**12
+    for build in (lambda: CycInt.zero(huge), lambda: root(huge, 1),
+                  lambda: parse_cycint(f"(mod {huge}) 0")):
+        with pytest.raises(ValueError, match=f"ring modulus {huge} exceeds 5000"):
+            build()
+    with pytest.raises(ValueError, match="exceeds 5000"):
+        CycInt.zero(5004)
+    assert _context(4620).degree == 960
 
 
 def test_promotion_is_canonical():
@@ -308,6 +322,74 @@ def test_every_small_element_round_trips(modulus, values):
 def test_parse_refuses_text_str_never_emits(text):
     with pytest.raises(ValueError):
         parse_cycint(text)
+    with pytest.raises(ValueError):
+        reference_parse(text)
+
+
+def reference_str(a):
+    """str(CycInt) as one loop over every coefficient, each term built apart."""
+    terms = []
+    for j, c in enumerate(a.coeffs):
+        if not c:
+            continue
+        mag = abs(c)
+        if j == 0:
+            body = str(mag)
+        else:
+            sym = "z" if j == 1 else f"z^{j}"
+            body = sym if mag == 1 else f"{mag}*{sym}"
+        if not terms:
+            terms.append(f"-{body}" if c < 0 else body)
+        else:
+            terms.append(f"{'-' if c < 0 else '+'} {body}")
+    poly = " ".join(terms) if terms else "0"
+    return f"(mod {a.modulus}) {poly}"
+
+
+TERM_PARTS = r"(-| [+-] |)(?:(?:(\d+)\*)?z(?:\^(\d+))?|(\d+))"
+
+
+def reference_parse(text):
+    """The coefficients of a literal, its terms read by re.findall."""
+    m = re.fullmatch(cyclotomic._LITERAL, text)
+    if not m:
+        raise ValueError(text)
+    coeffs = [0] * _context(int(m.group(1))).degree
+    last = -1
+    for sign, coeff, power, constant in re.findall(TERM_PARTS, m.group(2)):
+        exponent = 0 if constant else int(power or 1)
+        if not last < exponent < len(coeffs):
+            raise ValueError(text)
+        coeffs[exponent] = int(constant or coeff or 1) * (-1 if "-" in sign else 1)
+        last = exponent
+    return tuple(coeffs)
+
+
+def _text_cases(modulus):
+    # Dense elements with unit, multi-digit and 2^70-scale coefficients,
+    # then each with a zero constant term and with negative end terms.
+    rng = random.Random(modulus)
+    degree = _context(modulus).degree
+    draws = (lambda: rng.choice((-1, 1)), lambda: rng.randint(-999, 999),
+             lambda: rng.randint(-2**71, 2**71),
+             lambda: rng.choice((0, 0, -1, 1, rng.randint(-99, 99), rng.randint(-2**71, 2**71))))
+    cases = []
+    for draw in draws:
+        for _ in range(4):
+            coeffs = [draw() for _ in range(degree)]
+            cases.append(coeffs)
+            cases.append([0] + coeffs[1:])
+            cases.append([-abs(coeffs[0]) or -1] + coeffs[1:])
+            cases.append(coeffs[:-1] + [-abs(coeffs[-1]) or -1])
+    return [CycInt(modulus, c) for c in cases] + [CycInt.zero(modulus)]
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 4, 12, 84, 108, 196, 500, 1372])
+def test_text_matches_per_coefficient_reference(modulus):
+    for a in _text_cases(modulus):
+        text = str(a)
+        assert text == reference_str(a)
+        assert parse_cycint(text).coeffs == reference_parse(text) == a.coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,7 +443,7 @@ def _norm_cases(modulus):
     return values + [(2**70 + 1) * v for v in values]
 
 
-@pytest.mark.parametrize("modulus", [3, 4, 12, 84, 108, 196, 420, 500])
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 12, 84, 108, 196, 420, 500])
 def test_norm_sq_matches_product_and_sympy(modulus):
     for v in _norm_cases(modulus):
         norm = v.norm_sq()
