@@ -23,20 +23,23 @@ a successful row match with one global alpha certifies weak regularity
 and produces the dual
 f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
 against the directly computed spectrum. The row table never forms the
-vector: it tests the vector's inverse transform, the digit slices of
-transform's butterfly, for one nonzero slice, on the packed element, and
-matches only that slice. row_decomp decomposes an explicit vector and is
-the oracle the tests compare it against. analyze runs that butterfly once
-per function and reads the spectrum off the same packed list by the slot
-map's weights (slot v_0 C + r weighs zeta_q^(((q/p) v_0 + r) mod q)), so
-its verdict, spectral form and row table come from one butterfly.
+vector: coset r of transform's digit-slot butterfly is its inverse
+transform at row r, so one coset key (transform._coset_key) per distinct
+packed element, looked up in a cached table of the 2 p^k scaled rows
+(_candidate_keys), decides it. row_decomp decomposes an explicit vector and is
+the oracle the tests compare it against. analyze runs that butterfly once,
+indexes its distinct elements once, reads the spectrum off them by the
+slot map's weights, and at q = p^k reads the verdict and the spectral form
+off the same keys, with no norm computed; is_gbent,
+spectral_form and regularity keep the CycInt path for every q and are its
+oracles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
 from .errors import InternalConsistencyError
@@ -52,15 +55,15 @@ from .gbfunc import (
     point_index,
 )
 from .transform import (
-    LoneSlice,
     Spectrum,
+    _coset_key,
     _count_butterfly,
-    _counts_to_cycint,
     _digit_spectra,
-    _fast_spectrum,
+    _distinct,
     _per_distinct,
     _root_weights,
-    _slice_reader,
+    _spectrum_reader,
+    _spread,
     wht_fast,
 )
 
@@ -116,13 +119,22 @@ class GbentReport(_Record):
         return self.is_gbent
 
 
+def _failures(spectrum: Spectrum, hits: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The points whose hit is False or None, in point order."""
+    return tuple(u for u, hit in zip(all_points(spectrum.p, spectrum.n), hits) if not hit)
+
+
+def _norm_test(p: int, n: int, modulus: int) -> Callable[[CycInt], bool]:
+    target = CycInt.integer(modulus, p**n)
+    return lambda v: v.norm_sq() == target
+
+
 def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     """True iff norm_sq(S_f(u)) = p^n at every point."""
     if spectrum is None:
         spectrum = wht_fast(f)
-    target = CycInt.integer(spectrum.modulus, f.p**f.n)
-    verdicts = _per_distinct(spectrum.values, lambda v: v.norm_sq() == target)
-    failures = tuple(u for u, ok in zip(all_points(f.p, f.n), verdicts) if not ok)
+    verdicts = _per_distinct(spectrum.values, _norm_test(f.p, f.n, spectrum.modulus))
+    failures = _failures(spectrum, verdicts)
     return GbentReport(not failures, failures, spectrum)
 
 
@@ -159,16 +171,18 @@ def spectral_form(
     """
     if spectrum is None:
         spectrum = wht_fast(f)
-    candidates = _unit_candidates(f.p, f.n, f.q, spectrum.modulus)
+    forms = _per_distinct(spectrum.values, _form_matcher(f, spectrum.modulus))
+    return SpectralFormReport(forms, _failures(spectrum, forms), spectrum)
+
+
+def _form_matcher(f: GBFunction, modulus: int) -> Callable[[CycInt], Optional[SpectralForm]]:
+    candidates = _unit_candidates(f.p, f.n, f.q, modulus)
 
     def match(value: CycInt) -> Optional[SpectralForm]:
         hit = candidates.get(value)
         return None if hit is None else SpectralForm(*hit)
 
-    forms = _per_distinct(spectrum.values, match)
-    points = all_points(f.p, f.n)
-    failures = tuple(u for u, form in zip(points, forms) if form is None)
-    return SpectralFormReport(forms, failures, spectrum)
+    return match
 
 
 class RegularityReport(_Record):
@@ -192,9 +206,15 @@ def regularity(
     f: GBFunction, spectrum: Optional[Spectrum] = None
 ) -> RegularityReport:
     gb = is_gbent(f, spectrum)
+    return _regularity(gb, lambda: spectral_form(f, gb.spectrum))
+
+
+def _regularity(gb: GbentReport, spectral: Callable[[], SpectralFormReport]) -> RegularityReport:
+    """The class of a function from its norm verdict and, when it is gbent,
+    its spectral forms."""
     if not gb:
         return RegularityReport("not_gbent", None, gb, None)
-    forms = spectral_form(f, gb.spectrum)
+    forms = spectral()
     if not forms.matched_all:
         return RegularityReport("not_weakly_regular", None, gb, forms)
     alphas = {form.alpha for form in forms.forms}
@@ -263,59 +283,93 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
     return tuple(root(modulus, e * step) for e in _dot_table(p, k - 1)[row])
 
 
-def _slice_decomp(lone: LoneSlice, p: int, n: int, k: int) -> Optional[RowDecomp]:
-    """The row decomposition of one point, read off its lone nonzero slice.
+@lru_cache(maxsize=16)
+def _candidate_keys(
+    p: int, n: int, k: int, nbytes: int
+) -> tuple[dict[int, SpectralForm], dict[int, RowDecomp]]:
+    """The coset keys (transform._coset_key, q = p^k slots of nbytes bytes)
+    of the elements p^(n/2) alpha zeta_q^e of Z[zeta_q], mapped to their
+    spectral forms and to their row decompositions.
 
-    Slice r is the inverse Hadamard transform of the combination-spectrum
-    vector at row r (transform._digit_spectra), so the vector is
-    alpha zeta_p^j times row r exactly when slice r is the only nonzero
-    slice and equals p^(n/2) alpha zeta_p^j. Slice counts c_0, ..., c_(p-1)
-    stand for sum_e c_e zeta_p^e, which is zero exactly when all c_e are
-    equal: 1 + zeta_p + ... + zeta_p^(p-1) = 0 is the only relation. lone
-    is (r, the counts of slice r) from the slice reader, or None when no
-    slice or more than one is nonzero.
+    p is totally ramified in Q(zeta_q), so by Kronecker's theorem these 2q
+    elements are all those of norm p^n: +-p^(n/2) X^e at even n and
+    +-p^((n-1)/2) g X^e at odd n, with g = sum_t (t/p) X^(tC), C = q/p, the
+    Gauss sum, sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4; so the
+    alphas are expected_alphas'. Over the p^k digit slots, coset r is the
+    inverse transform at row r of the component-spectrum vector, which is
+    alpha zeta_p^j times row r exactly when the element is
+    p^(n/2) alpha X^(jC + r). The key is linear: each candidate's is a
+    signed sum of the monomials' keys.
     """
-    if lone is None:
-        return None
-    row, counts = lone
-    modulus = lcm(4, p)
-    value = _counts_to_cycint(modulus, counts, modulus // p)
-    hit = _unit_candidates(p, n, p, modulus).get(value)
-    if hit is None:
-        return None
-    return RowDecomp(*hit, index_point(p, k - 1, row), row)
+    q, combos = p**k, p ** (k - 1)
+    key = _coset_key(p, q, nbytes)
+    unit = [key(1 << (e * 8 * nbytes)) for e in range(q)]
+    gauss = [(0, 1)] if n % 2 == 0 else [
+        (t * combos, 1 if pow(t, (p - 1) // 2, p) == 1 else -1) for t in range(1, p)]
+    forms, rows = {}, {}
+    for sign, alpha in zip((1, -1), expected_alphas(p, n)):
+        for e in range(q):
+            value = sign * p ** (n // 2) * sum(c * unit[(e + s) % q] for s, c in gauss)
+            forms[value] = SpectralForm(alpha, e)
+            rows[value] = RowDecomp(alpha, e // combos, index_point(p, k - 1, e % combos),
+                                    e % combos)
+    return forms, rows
 
 
 RowTable = tuple[Optional[RowDecomp], ...]
 
 
-def _row_table(p: int, n: int, k: int, packed: Sequence[int], nbytes: int) -> RowTable:
-    """The row decomposition at every point, read off the packed digit
-    spectra by their lone nonzero slice, once per distinct element."""
-    read = _slice_reader(p, p ** (k - 1), nbytes)
-    return _per_distinct(packed, lambda v: _slice_decomp(read(v), p, n, k))
-
-
 def component_row_table(t: ComponentTuple) -> RowTable:
     """The row decomposition of the component-spectrum vector at every point
-    of Z_p^n, None where there is none; agrees with row_decomp on (S_a(u))_a."""
-    return _row_table(t.p, t.n, t.k, *_digit_spectra(t))
+    of Z_p^n, None where there is none; agrees with row_decomp on (S_a(u))_a.
+    One key and one dict lookup per distinct packed digit spectrum."""
+    packed, nbytes = _digit_spectra(t)
+    distinct, positions = _distinct(packed)
+    keys = map(_coset_key(t.p, t.p**t.k, nbytes), distinct)
+    rows = _candidate_keys(t.p, t.n, t.k, nbytes)[1]
+    return _spread(list(map(rows.get, keys)), positions)
 
 
 def analyze(doc: FunctionDoc) -> tuple[RegularityReport, Optional[RowTable]]:
     """The regularity of a loaded function, and its row table if it is gbent.
 
-    Both are read off one butterfly: over the digit slots of a components
-    file, or the q slots of a table at q = p^k. A table at general q has no
-    digits to read a row table from.
+    All are read off one butterfly: over the digit slots of a components
+    file, or the q slots of a table at q = p^k, indexed once by distinct
+    packed element. Each distinct element is read into a spectral value
+    and, by its coset key, looked up in the row table and, at q = p^k, in
+    the norm-p^n candidates, which give the verdict and the spectral form
+    without a norm. A table at general q has no digits to read a row table
+    from.
     """
     f, t = doc.function, doc.components
     if t is None and not f.is_prime_power:
         return regularity(f), None
-    butterfly = _count_butterfly(f.p, f.n, f.q, f.table) if t is None else _digit_spectra(t)
-    weights = _root_weights(f.p, f.q, lcm(4, f.q), f.p**f.k)
-    reg = regularity(f, _fast_spectrum(f.p, f.n, f.q, weights, *butterfly))
-    return reg, _row_table(f.p, f.n, f.k, *butterfly) if reg.gbent else None
+    p, n, k = f.p, f.n, f.k
+    packed, nbytes = _count_butterfly(p, n, f.q, f.table) if t is None else _digit_spectra(t)
+    distinct, positions = _distinct(packed)
+
+    def per_point(convert: Callable, items: Sequence) -> tuple:
+        return _spread([convert(v) for v in items], positions)
+
+    modulus = lcm(4, f.q)
+    read = _spectrum_reader(p, n, _root_weights(p, f.q, modulus, p**k), nbytes)
+    values = list(map(read, distinct))
+    spectrum = Spectrum(p, n, f.q, modulus, _spread(values, positions))
+    keys = list(map(_coset_key(p, p**k, nbytes), distinct))
+    if f.is_prime_power:  # a value has norm p^n exactly when it has a form
+        verdicts = per_point(_candidate_keys(p, n, k, nbytes)[0].get, keys)
+    else:
+        verdicts = per_point(_norm_test(p, n, modulus), values)
+    failures = _failures(spectrum, verdicts)
+
+    def spectral() -> SpectralFormReport:
+        if f.is_prime_power:
+            return SpectralFormReport(verdicts, failures, spectrum)
+        forms = per_point(_form_matcher(f, modulus), values)
+        return SpectralFormReport(forms, _failures(spectrum, forms), spectrum)
+
+    reg = _regularity(GbentReport(not failures, failures, spectrum), spectral)
+    return reg, None if failures else per_point(_candidate_keys(p, n, k, nbytes)[1].get, keys)
 
 
 class RowCriterionReport(_Record):

@@ -40,12 +40,17 @@ each distinct element. The slot map is a table of such weights
 zeta_q^(((q/p) v_0 + r) mod q), compose's value of those digits.
 wht_composed reads the digit slots with the carry weights zeta_p^(v_0) w_r,
 w_r the inverse_wht of the gamma table at r (_gamma_weights), which equal
-the roots by the root-reconstruction identity w_r = zeta_q^r. Slice r, the
-p counts at slots r, r + C, ..., read as an element of Z[zeta_p], is the
-inverse Hadamard transform at row r of the vector of combination spectra
-(S_a(u))_a, and a lone nonconstant slice, found on the packed element by
-_slice_reader, is all the row test needs. So classify.analyze reads the
-verdict, the spectral form and the row table off one butterfly.
+the roots by the root-reconstruction identity w_r = zeta_q^r.
+
+Over p^k slots the packed element itself names its ring element: the
+kernel of Z[Z_(p^k)] -> Z[zeta_(p^k)] is the elements constant on every
+coset r + iC, and _coset_key maps each element to an integer that is
+equal for two elements exactly when they differ by such constants. Coset
+r, read as an element of Z[zeta_p], is the inverse Hadamard transform at
+row r of the vector of combination spectra (S_a(u))_a, so one key names
+both the spectral value at q = p^k and the component-spectrum vector, and
+classify.analyze reads the verdict, the spectral form and the row table
+off one butterfly by one dict lookup per distinct key.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
 over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
@@ -218,14 +223,44 @@ def _count_butterfly(
 
     Point x starts as the single count at slot table[x], one shared object
     per slot. Counts are nonnegative and sum to p^n, so slots of the fewest
-    bytes above p^n never carry. Returns the packed elements in
-    point-index order and the slot bytes.
+    bytes above 2 p^n never carry, and the difference of two counts fits
+    in a slot as a signed number, which _coset_key needs. Returns the packed
+    elements in point-index order and the slot bytes.
     """
-    nbytes = _slot_bytes(p**n)
+    nbytes = _slot_bytes(2 * p**n)
     bits = 8 * nbytes
     singles = [1 << (e * bits) for e in range(slots)]
     starts = [singles[v] for v in table]
     return _group_ring_butterfly(p, slots, nbytes, starts, -1), nbytes
+
+
+def _coset_key(p: int, slots: int, nbytes: int) -> Callable[[int], int]:
+    """The integer key of a packed element of p blocks of C = slots/p slots,
+    slots a power of p: the low p - 1 blocks minus the top block broadcast
+    to each, so digit r + iC is count_(r + iC) - count_(r + (p-1) C).
+
+    Keys are equal exactly when the elements differ by a constant on every
+    coset r + iC, the kernel of Z[Z_slots] -> Z[zeta_slots]: the digits of
+    butterfly output lie in [-p^n, p^n], which slots of 2^b > 2 p^n
+    (_count_butterfly) decode uniquely. Four bigint ops per element.
+    """
+    block = (slots // p) * 8 * nbytes
+    top = (p - 1) * block
+    low = (1 << top) - 1
+    broadcast = sum(1 << (i * block) for i in range(p - 1))
+
+    def key(v: int) -> int:
+        return (v & low) - (v >> top) * broadcast
+
+    return key
+
+
+def _distinct(items: Sequence) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's position
+    among them: one hash per item."""
+    index: dict = {}
+    positions = [index.setdefault(v, len(index)) for v in items]
+    return list(index), positions
 
 
 def _per_distinct(items: Sequence, convert: Callable) -> tuple:
@@ -234,17 +269,20 @@ def _per_distinct(items: Sequence, convert: Callable) -> tuple:
     Spectra repeat their values (a gbent spectrum takes at most 4q), and
     so do the packed elements they come from.
     """
-    index: dict = {}
-    slots = [index.setdefault(v, len(index)) for v in items]  # one hash per item
-    done = [convert(v) for v in index]
-    return tuple(map(done.__getitem__, slots))
+    distinct, positions = _distinct(items)
+    return _spread([convert(v) for v in distinct], positions)
 
 
-def _fast_spectrum(
-    p: int, n: int, q: int, weights: Sequence[CycInt], packed: Sequence[int], nbytes: int
-) -> Spectrum:
-    """The spectrum of packed butterfly output over len(weights) slots: at
-    each distinct element, sum_e count_e weights[e], in the weights' ring.
+def _spread(done: Sequence, positions: Sequence[int]) -> tuple:
+    """The per-item tuple of values computed once per distinct item."""
+    return tuple(map(done.__getitem__, positions))
+
+
+def _spectrum_reader(
+    p: int, n: int, weights: Sequence[CycInt], nbytes: int
+) -> Callable[[int], CycInt]:
+    """The reader of packed butterfly output over len(weights) slots:
+    sum_e count_e weights[e], in the weights' ring.
 
     The weights are Kronecker-packed once, by _pack_signed. The slot counts
     of one element sum to p^n, so slots above 2 p^n max|coefficient| hold
@@ -258,7 +296,15 @@ def _fast_spectrum(
         total = sum(map(mul, _slot_counts(v, len(packs), nbytes), packs))
         return CycInt(modulus, _unpack_signed(total, degree, wbytes))
 
-    return Spectrum(p, n, q, modulus, _per_distinct(packed, value))
+    return value
+
+
+def _fast_spectrum(
+    p: int, n: int, q: int, weights: Sequence[CycInt], packed: Sequence[int], nbytes: int
+) -> Spectrum:
+    """The spectrum of packed butterfly output, read once per distinct element."""
+    read = _spectrum_reader(p, n, weights, nbytes)
+    return Spectrum(p, n, q, weights[0].modulus, _per_distinct(packed, read))
 
 
 @lru_cache(maxsize=32)
@@ -276,44 +322,6 @@ def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
     """
     ranks = _digit_sum(t, [t.p ** (t.k - 1 - i) for i in range(t.k)], t.p**t.k)
     return _count_butterfly(t.p, t.n, t.p**t.k, ranks)
-
-
-LoneSlice = Optional[tuple[int, list[int]]]
-
-
-def _slice_reader(p: int, combos: int, nbytes: int) -> Callable[[int], LoneSlice]:
-    """The reader of the lone nonconstant slice of a packed element.
-
-    The element has p C slots (C = combos) of nbytes bytes; slice r is the
-    p counts at slots r, r + C, ..., r + (p-1) C. The reader returns
-    (r, those counts) when slice r is the only slice whose counts are not
-    all equal, and None otherwise. It unpacks no other slot: slot e of
-    D = v XOR (v rotated by C slots) is nonzero exactly when count e
-    differs from count e - C, so slot r of the OR of the p blocks of C
-    slots of D is nonzero exactly when slice r is not constant.
-    """
-    bits = 8 * nbytes
-    block = combos * bits
-    width = p * block
-    mask = (1 << width) - 1
-    low = (1 << block) - 1
-    slot = (1 << bits) - 1
-
-    def read(v: int) -> LoneSlice:
-        diff = v ^ (((v << block) & mask) | (v >> (width - block)))
-        fold = 0
-        while diff:
-            fold |= diff & low
-            diff >>= block
-        if not fold:
-            return None
-        row = ((fold & -fold).bit_length() - 1) // bits  # lowest nonzero slot
-        if fold >> ((row + 1) * bits):
-            return None
-        v >>= row * bits
-        return row, [(v >> (i * block)) & slot for i in range(p)]
-
-    return read
 
 
 def wht_fast(f: GBFunction) -> Spectrum:

@@ -74,13 +74,46 @@ def all_slices(v, p, k, nbytes):
 
 
 def lone_slice(v, p, k, nbytes):
-    """(r, counts) of the only slice whose counts are not all equal, or None;
-    the oracle for the packed slice reader."""
+    """(r, counts) of the only slice whose counts are not all equal, or None:
+    the packed elements whose component-spectrum vector can be a scaled
+    Hadamard row."""
     slices = all_slices(v, p, k, nbytes)
     nonconstant = [r for r, s in enumerate(slices) if min(s) != max(s)]
     if len(nonconstant) != 1:
         return None
     return nonconstant[0], slices[nonconstant[0]]
+
+
+def butterfly_bytes(p, n):
+    """The slot bytes the engine's butterfly picks for p^n points."""
+    from gbent.transform import _count_butterfly
+
+    return _count_butterfly(p, n, p, (0,) * p**n)[1]
+
+
+def coset_key_oracle(counts, p, nbytes):
+    """The coset key of a count vector of p C slots, from its unpacked
+    counts: sum over slots e = r + iC, i < p - 1, of
+    (counts[e] - counts[r + (p-1) C]) 2^(8 nbytes e)."""
+    combos = len(counts) // p
+    top = (p - 1) * combos
+    return sum((counts[e] - counts[top + e % combos]) << (8 * nbytes * e) for e in range(top))
+
+
+def key_counts(key, p, slots, nbytes):
+    """Nonnegative counts over slots whose coset key is key: the signed
+    slot digits of key, lifted by their largest magnitude, with that lift
+    alone in the top block."""
+    bits = 8 * nbytes
+    digits = []
+    for _ in range((p - 1) * (slots // p)):
+        d = key & ((1 << bits) - 1)
+        d -= (d >> (bits - 1)) << bits
+        digits.append(d)
+        key = (key - d) >> bits
+    assert key == 0
+    lift = max(map(abs, digits))
+    return [d + lift for d in digits] + [lift] * (slots // p)
 
 
 def dense_sparse_powers(modulus):

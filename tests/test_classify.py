@@ -34,7 +34,16 @@ from gbent import (
 from gbent import classify, transform
 from gbent.classify import alpha_element
 from gbent.gbfunc import smallest_exponent
-from conftest import all_slices, component_vectors, rank_vector, random_spec, random_tuple
+from conftest import (
+    all_slices,
+    butterfly_bytes,
+    component_vectors,
+    key_counts,
+    random_gbfunction,
+    rank_vector,
+    random_spec,
+    random_tuple,
+)
 
 
 def pary_from(p, n, fn):
@@ -248,6 +257,8 @@ def test_regularity_not_weakly_regular():
     reg = regularity(f, rep.spectrum)
     assert reg.verdict == "not_weakly_regular"
     assert not reg.is_weakly_regular
+    # The coset keys read both alphas off the one butterfly.
+    assert analyze(FunctionDoc(f, None)) == (reg, component_row_table(digits(f)))
 
 
 def test_row_decomp_all_ones():
@@ -407,12 +418,59 @@ def test_one_butterfly_per_tuple(monkeypatch, tuple_q27):
     assert len(calls) == 3
 
 
-def test_slice_test_once_per_distinct_packed_output(monkeypatch, tuple_q27):
+def _count_key_calls(monkeypatch):
+    """Every element that classify keys, through a counting _coset_key."""
+    calls = []
+    original = classify._coset_key
+
+    def counted_factory(*args):
+        key = original(*args)
+        return lambda v: calls.append(v) or key(v)
+
+    monkeypatch.setattr(classify, "_coset_key", counted_factory)
+    return calls
+
+
+def test_row_lookup_once_per_distinct_packed_output(monkeypatch, tuple_q27):
+    expected = component_row_table(tuple_q27)  # fills the key table
     distinct = set(transform._digit_spectra(tuple_q27)[0])
-    calls = _count_calls(monkeypatch, classify, "_slice_decomp")
+    calls = _count_key_calls(monkeypatch)
     decomps = component_row_table(tuple_q27)
+    assert decomps == expected and all(d is not None for d in decomps)
     assert len(calls) == len(distinct) < len(decomps)
-    assert all(d is not None for d in decomps)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on the q = p^k path of analyze")
+
+
+@pytest.mark.parametrize("components", [False, True], ids=["table", "components"])
+def test_analyze_at_prime_power_keys_once_per_distinct_element(monkeypatch, tuple_q27,
+                                                               components):
+    # At q = p^k the packed list is indexed once; each distinct element is
+    # read once and keyed once, and no norm, candidate CycInt or second
+    # distinct pass is computed.
+    f = compose(tuple_q27)
+    doc = FunctionDoc(f, tuple_q27 if components else None)
+    expected = (regularity(f), component_row_table(tuple_q27))
+    assert analyze(doc) == expected  # fills the key tables
+    distinct = set(transform._digit_spectra(tuple_q27)[0])
+    keys = _count_key_calls(monkeypatch)
+    reads = []
+    reader = classify._spectrum_reader
+
+    def counted_reader(*args):
+        read = reader(*args)
+        return lambda v: reads.append(v) or read(v)
+
+    indexes = _count_calls(monkeypatch, classify, "_distinct")
+    monkeypatch.setattr(classify, "_spectrum_reader", counted_reader)
+    for name in ("_per_distinct", "_unit_candidates", "_norm_test"):
+        monkeypatch.setattr(classify, name, _refuse)
+    monkeypatch.setattr(CycInt, "norm_sq", _refuse)
+    assert analyze(doc) == expected
+    assert len(indexes) == 1
+    assert len(keys) == len(reads) == len(distinct) < len(f.table)
 
 
 def test_row_reconstruction_round_trip(tuple_q27):
@@ -555,3 +613,91 @@ def test_gbent_spectra_are_scaled_roots(rng):
         rep = is_gbent(f)
         assert rep
         assert spectral_form(f, rep.spectrum).matched_all
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_candidate_keys_label_like_unit_candidates(p, n):
+    # Every key of the norm-p^n table names the element of Z[zeta_q] that
+    # _unit_candidates labels the same way; there are 2q of them, the two
+    # expected alphas at every e; and the row table's (alpha, j, row) is the
+    # same candidate with e = j C + row.
+    nbytes = butterfly_bytes(p, n)
+    for k in (1, 2):
+        q, combos = p**k, p ** (k - 1)
+        modulus = lcm(4, q)
+        forms, rows = classify._candidate_keys(p, n, k, nbytes)
+        candidates = classify._unit_candidates(p, n, q, modulus)
+        assert sorted((fm.alpha, fm.dual) for fm in forms.values()) == sorted(
+            (alpha, e) for alpha in expected_alphas(p, n) for e in range(q))
+        for key, form in forms.items():
+            value = transform._counts_to_cycint(modulus, key_counts(key, p, q, nbytes),
+                                                modulus // q)
+            assert candidates[value] == (form.alpha, form.dual)
+            assert value.norm_sq() == p**n
+        assert rows.keys() == forms.keys()
+        for key, d in rows.items():
+            assert d.v == rank_vector(p, k - 1, d.row)
+            assert (d.alpha, d.j * combos + d.row) == (forms[key].alpha, forms[key].dual)
+
+
+def _quadratic(rng, p, n, q):
+    """(q/p)(sum_i beta_i x_i^2 + a x_1) mod q, beta_i != 0: gbent, coset-valued."""
+    beta = [rng.randrange(1, p) for _ in range(n)]
+    a = rng.randrange(p)
+    return [(q // p) * (sum(b * xi * xi for b, xi in zip(beta, x)) + a * x[0]) % q
+            for x in all_points(p, n)]
+
+
+def _joined(head, tail, q):
+    """g(x) + h(y) mod q on (x, y), from the tables of g and h."""
+    return [(g + h) % q for g in head for h in tail]
+
+
+def _partly_bent(rng, p, q):
+    """a(x) + (q/p) y b(x) mod q on (x, y) in Z_p^2, with b(1) = b(0) = 0 and
+    b(x) = x otherwise: S(u, v) = p sum over x with b(x) = v of
+    zeta_q^(a(x)) zeta_p^(-u x), of norm p^2 at v >= 2 (one x), 0 at v = 1
+    (none)."""
+    a = [rng.randrange(q) for _ in range(p)]
+    b = [0, 0] + list(range(2, p))
+    return [(a[x] + (q // p) * y * b[x]) % q for x in range(p) for y in range(p)]
+
+
+def _differential_tables(rng, p, n, q):
+    """A constructed, a coset-valued, a partly failing and a random table
+    Z_p^n -> Z_q, q = p^k: the first two gbent, the third the sum of a
+    gbent function and a partly bent one on separate variables."""
+    if n % 2 == 0:
+        constructed = compose(build_maiorana(random_spec(rng, p, n // 2, q))).table
+    elif n == 1:
+        constructed = _joined([rng.randrange(q)], _quadratic(rng, p, 1, q), q)
+    else:
+        head = compose(build_maiorana(random_spec(rng, p, (n - 1) // 2, q))).table
+        constructed = _joined(head, _quadratic(rng, p, 1, q), q)
+    partial = _joined(_quadratic(rng, p, n - 2, q) if n > 2 else [0], _partly_bent(rng, p, q), q)
+    tables = [constructed, _quadratic(rng, p, n, q), partial,
+              random_gbfunction(rng, p, n, q).table]
+    return [GBFunction(p, n, q, tuple(table)) for table in tables]
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, ns in (
+    (3, (3, 4)), (9, (3, 4)), (27, (3, 4)), (81, (3, 4)), (5, (2, 3)), (25, (2, 3)),
+    (125, (2, 3)), (7, (2, 3)), (49, (2, 3))) for n in ns])
+def test_analyze_at_prime_power_matches_oracles(rng, q, n):
+    # analyze, as a table and as digit components, against regularity on
+    # the naive spectrum; its row table, and component_row_table, against
+    # row_decomp over the combinations built one at a time.
+    p = next(p for p in (3, 5, 7) if q % p == 0)
+    verdicts = []
+    for f in _differential_tables(rng, p, n, q):
+        reg = regularity(f, wht_naive(f))
+        t = digits(f)
+        rows = tuple(row_decomp(vec, p, n) for vec in component_vectors(t))
+        assert component_row_table(t) == rows
+        expected = (reg, rows if reg.gbent else None)
+        assert analyze(FunctionDoc(f, None)) == expected
+        assert analyze(FunctionDoc(f, t)) == expected
+        verdicts.append((reg.verdict, len(reg.gbent.failures)))
+    assert [v != "not_gbent" for v, _ in verdicts] == [True, True, False, False]
+    assert 0 < verdicts[2][1] < p**n

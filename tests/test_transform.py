@@ -29,18 +29,21 @@ from gbent import (
     wht_naive,
     wht_pary_fast,
 )
-from gbent.cyclotomic import _pack_slots
+from gbent.cyclotomic import _pack_slots, _slot_counts
 from gbent.gbfunc import smallest_exponent
 from gbent.transform import (
+    _coset_key,
     _count_butterfly,
+    _counts_to_cycint,
     _digit_spectra,
     _fast_spectrum,
     _gamma_weights,
     _root_weights,
-    _slice_reader,
     _slot_bytes,
 )
 from conftest import (
+    butterfly_bytes,
+    coset_key_oracle,
     lone_slice,
     random_gbfunction,
     random_pary,
@@ -128,10 +131,13 @@ def test_engine_equals_naive_oracle(f):
 
 @pytest.mark.parametrize("q", [3, 6, 27, 105])
 def test_engine_full_slot(q):
-    # 3^5 = 243 points fill a one-byte slot to 243 of 255: a constant table
-    # puts every point's count into one slot at u = 0
+    # 3^5 = 243 points: a constant table puts every point's count into one
+    # slot at u = 0. A one-byte slot would hold the count, but not the
+    # signed difference of two counts that the coset key needs, so the
+    # butterfly takes two bytes.
     f = GBFunction(3, 5, q, (q - 1,) * 243)
     assert _slot_bytes(243) == 1 and _slot_bytes(256) == 2
+    assert butterfly_bytes(3, 5) == 2 and butterfly_bytes(5, 3) == 1
     fast = wht_fast(f)
     assert fast.values[0] == 243 * root(fast.modulus, (q - 1) * (fast.modulus // q))
     assert all(v.is_zero() for v in fast.values[1:])
@@ -183,63 +189,163 @@ def _pack_slices(slices, nbytes):
     return _pack_slots([s[v0] for v0 in range(len(slices[0])) for s in slices], nbytes)
 
 
-# (p, k, nbytes, slices, expected lone slice); slot bytes as the butterfly
-# picks them, and element sums up to p^n.
+def _ring_element(counts, p, k):
+    """sum_e counts[e] zeta_(p^k)^e, canonical."""
+    modulus = lcm(4, p**k)
+    return _counts_to_cycint(modulus, counts, modulus // p**k)
+
+
+def _assert_key_is_ring_equality(p, k, nbytes, first, second):
+    key = _coset_key(p, p**k, nbytes)
+    pair = [_pack_slots(c, nbytes) for c in (first, second)]
+    assert [key(v) for v in pair] == [coset_key_oracle(c, p, nbytes) for c in (first, second)]
+    assert (key(pair[0]) == key(pair[1])) == (
+        _ring_element(first, p, k) == _ring_element(second, p, k))
+
+
+# (p, k, n, slices, expected lone slice): slot bytes as the butterfly picks
+# them for p^n points, and every count at most p^n.
 CRAFTED_SLICES = {
-    "every-slice-constant": (3, 3, 1, [[r, r, r] for r in range(9)], None),
-    "two-nonconstant": (3, 3, 1, [[1, 1, 1]] * 2 + [[0, 1, 2]] + [[1, 1, 1]] * 3
+    "every-slice-constant": (3, 3, 4, [[r, r, r] for r in range(9)], None),
+    "two-nonconstant": (3, 3, 4, [[1, 1, 1]] * 2 + [[0, 1, 2]] + [[1, 1, 1]] * 3
                         + [[2, 1, 0]] + [[1, 1, 1]] * 2, None),
-    "lone-at-first": (3, 3, 1, [[4, 1, 1]] + [[r, r, r] for r in range(1, 9)],
+    "lone-at-first": (3, 3, 4, [[4, 1, 1]] + [[r, r, r] for r in range(1, 9)],
                       (0, [4, 1, 1])),
-    "lone-at-last": (5, 2, 2, [[r] * 5 for r in range(4)] + [[300, 0, 0, 0, 7]],
+    "lone-at-last": (5, 2, 4, [[r] * 5 for r in range(4)] + [[300, 0, 0, 0, 7]],
                      (4, [300, 0, 0, 0, 7])),
-    "differs-in-last-block": (3, 2, 1, [[6, 6, 6], [6, 6, 7], [6, 6, 6]], (1, [6, 6, 7])),
-    "two-differ-in-last-block": (3, 2, 1, [[6, 6, 5], [6, 6, 7], [6, 6, 6]], None),
+    "differs-in-last-block": (3, 2, 2, [[6, 6, 6], [6, 6, 7], [6, 6, 6]], (1, [6, 6, 7])),
+    "two-differ-in-last-block": (3, 2, 2, [[6, 6, 5], [6, 6, 7], [6, 6, 6]], None),
     "k1-lone": (5, 1, 1, [[1, 1, 1, 1, 2]], (0, [1, 1, 1, 1, 2])),
     "k1-constant": (5, 1, 1, [[3, 3, 3, 3, 3]], None),
-    "full-byte-lone": (3, 3, 1, [[0, 0, 0]] * 4 + [[243, 0, 0]] + [[0, 0, 0]] * 4,
-                       (4, [243, 0, 0])),
-    "full-byte-lone-at-last": (3, 3, 1, [[0, 0, 0]] * 8 + [[0, 243, 0]], (8, [0, 243, 0])),
-    "full-byte-beside-constant": (3, 2, 1, [[81, 81, 81], [0, 0, 81], [0, 0, 0]],
-                                  (1, [0, 0, 81])),
-    "full-byte-two-nonconstant": (3, 2, 1, [[243, 0, 0], [0, 0, 0], [0, 0, 243]], None),
+    # Counts of p^n, the most a butterfly slot holds.
+    "full-count-lone": (3, 3, 5, [[0, 0, 0]] * 4 + [[243, 0, 0]] + [[0, 0, 0]] * 4,
+                        (4, [243, 0, 0])),
+    "full-count-lone-at-last": (3, 3, 5, [[0, 0, 0]] * 8 + [[0, 243, 0]], (8, [0, 243, 0])),
+    "full-count-beside-constant": (3, 2, 4, [[81, 81, 81], [0, 0, 81], [0, 0, 0]],
+                                   (1, [0, 0, 81])),
+    "full-count-two-nonconstant": (3, 2, 5, [[243, 0, 0], [0, 0, 0], [0, 0, 243]], None),
+    "full-count-q125": (5, 3, 3, [[0] * 5] * 24 + [[0, 0, 0, 0, 125]], (24, [0, 0, 0, 0, 125])),
+    "full-count-q343": (7, 3, 3, [[343] + [0] * 6] + [[0] * 7] * 48, (0, [343] + [0] * 6)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CRAFTED_SLICES))
-def test_slice_reader_crafted(case):
-    p, k, nbytes, slices, expected = CRAFTED_SLICES[case]
-    assert len(slices) == p ** (k - 1) and all(len(s) == p for s in slices)
+def test_coset_key_crafted(case):
+    # The key is the per-coset differences, so it is 0 when every slice is
+    # constant and equals the key of the lone nonconstant slice alone; a
+    # constant added to a coset keeps it and a bumped slot changes it, as
+    # they keep and change the ring element.
+    p, k, n, slices, expected = CRAFTED_SLICES[case]
+    combos = p ** (k - 1)
+    assert len(slices) == combos and all(len(s) == p for s in slices)
+    assert max(max(s) for s in slices) <= p**n
+    nbytes = butterfly_bytes(p, n)
     v = _pack_slices(slices, nbytes)
+    key = _coset_key(p, p**k, nbytes)
+    assert key(v) == coset_key_oracle(_slot_counts(v, p**k, nbytes), p, nbytes)
     assert lone_slice(v, p, k, nbytes) == expected
-    assert _slice_reader(p, p ** (k - 1), nbytes)(v) == expected
+    if expected is None:
+        assert (key(v) == 0) == all(min(s) == max(s) for s in slices)
+    else:
+        row, counts = expected
+        alone = [counts if r == row else [0] * p for r in range(combos)]
+        assert key(v) == key(_pack_slices(alone, nbytes))
+    counts = list(_slot_counts(v, p**k, nbytes))
+    for r in range(combos):
+        lifted = [c + (e % combos == r) for e, c in enumerate(counts)]
+        _assert_key_is_ring_equality(p, k, nbytes, counts, lifted)
+        assert key(_pack_slots(lifted, nbytes)) == key(v)
+    for e in (0, p**k - 1, combos * (p - 1)):
+        bumped = counts[:e] + [counts[e] + 1] + counts[e + 1:]
+        _assert_key_is_ring_equality(p, k, nbytes, counts, bumped)
+        assert key(_pack_slots(bumped, nbytes)) != key(v)
 
 
-def test_slice_reader_random_elements(rng):
+def test_coset_key_at_the_byte_boundary():
+    # At 3^5 = 243 points, 243 X^0 and X + 13 X^9 + 13 X^18 are different
+    # elements of Z[zeta_27]. Their key digits are 243 at slot 0, and -13 at
+    # slot 0 with 1 at slot 1: in one-byte slots both read 243, in the
+    # butterfly's two-byte slots they differ.
+    nbytes = butterfly_bytes(3, 5)
+    first = [243] + [0] * 26
+    second = [0] * 27
+    second[1], second[9], second[18] = 1, 13, 13
+    _assert_key_is_ring_equality(3, 3, nbytes, first, second)
+    key = _coset_key(3, 27, nbytes)
+    assert key(_pack_slots(first, nbytes)) != key(_pack_slots(second, nbytes))
+    short = _coset_key(3, 27, 1)
+    assert short(_pack_slots(first, 1)) == short(_pack_slots(second, 1)) == 243
+
+
+def test_coset_key_random_elements(rng):
     # Zero, one or two nonconstant slices among constant ones, in every slot
-    # width the butterfly picks for small p^n.
-    for p, k, nbytes in ((3, 1, 1), (3, 2, 1), (3, 4, 2), (5, 2, 1), (5, 3, 2), (7, 2, 1)):
+    # width the butterfly picks for small p^n: the key is the oracle's, and
+    # equal keys are equal ring elements.
+    for p, k, n in ((3, 1, 4), (3, 2, 4), (3, 4, 5), (5, 2, 3), (5, 3, 4), (7, 2, 3)):
         combos = p ** (k - 1)
-        read = _slice_reader(p, combos, nbytes)
-        top = 2 ** (8 * nbytes) - 1
+        nbytes = butterfly_bytes(p, n)
+        previous = None
         for _ in range(50):
-            slices = [[rng.randrange(top)] * p for _ in range(combos)]
+            slices = [[rng.randrange(p**n + 1)] * p for _ in range(combos)]
             for r in rng.sample(range(combos), min(combos, rng.randrange(3))):
-                slices[r][rng.randrange(p)] = rng.randrange(top)
-            v = _pack_slices(slices, nbytes)
-            assert read(v) == lone_slice(v, p, k, nbytes)
+                slices[r][rng.randrange(p)] = rng.randrange(p**n + 1)
+            counts = list(_slot_counts(_pack_slices(slices, nbytes), p**k, nbytes))
+            if previous is not None:
+                _assert_key_is_ring_equality(p, k, nbytes, previous, counts)
+            shift = [c + slices[e % combos][0] for e, c in enumerate(counts)]
+            _assert_key_is_ring_equality(p, k, nbytes, counts, shift)
+            previous = counts
 
 
 @pytest.mark.parametrize("p,n,q,k", [(3, 2, 3, 1), (3, 4, 27, 3), (5, 2, 125, 3),
                                      (3, 5, 21, 3)])
-def test_slice_reader_on_butterfly_outputs(rng, p, n, q, k):
+def test_coset_key_on_butterfly_outputs(rng, p, n, q, k):
+    # The keys of the digit-slot butterfly's outputs partition them as the
+    # elements of Z[zeta_(p^k)] they stand for do.
     tuples = [random_tuple(rng, p, n, q, k)]
     if n % 2 == 0:
         tuples.append(build_maiorana(random_spec(rng, p, n // 2, q)))
     for t in tuples:
         packed, nbytes = _digit_spectra(t)
-        read = _slice_reader(p, p ** (k - 1), nbytes)
-        assert [read(v) for v in packed] == [lone_slice(v, p, k, nbytes) for v in packed]
+        assert nbytes == butterfly_bytes(p, n)
+        key = _coset_key(p, p**k, nbytes)
+        classes = {}
+        for v in packed:
+            counts = _slot_counts(v, p**k, nbytes)
+            assert key(v) == coset_key_oracle(counts, p, nbytes)
+            classes.setdefault(key(v), set()).add(_ring_element(counts, p, k))
+        assert all(len(c) == 1 for c in classes.values())
+        assert len(set.union(*classes.values())) == len(classes)
+
+
+# Every q = p^k <= 343, with p^n up to 343: 125, 243 and 343 sit next to
+# the byte boundaries of the slot width.
+KEY_SHAPES = [(p, k, n) for p, top in ((3, 5), (5, 3), (7, 3))
+              for k in range(1, top + 1) for n in range(1, top + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KEY_SHAPES), st.data())
+def test_coset_key_equality_is_ring_equality(shape, data):
+    p, k, n = shape
+    slots, combos, bound = p**k, p ** (k - 1), p**n
+    nbytes = butterfly_bytes(p, n)
+    counts = data.draw(st.lists(st.integers(0, bound), min_size=slots, max_size=slots))
+    how = data.draw(st.sampled_from(("coset-constants", "bump", "fresh")))
+    if how == "coset-constants":
+        lift = [data.draw(st.integers(-min(counts[r::combos]), bound - max(counts[r::combos])))
+                for r in range(combos)]
+        other = [c + lift[e % combos] for e, c in enumerate(counts)]
+    elif how == "bump":
+        e = data.draw(st.integers(0, slots - 1))
+        other = counts[:]
+        other[e] = data.draw(st.integers(0, bound).filter(lambda c: c != counts[e]))
+    else:
+        other = data.draw(st.lists(st.integers(0, bound), min_size=slots, max_size=slots))
+    _assert_key_is_ring_equality(p, k, nbytes, counts, other)
+    if how == "coset-constants":
+        assert _coset_key(p, slots, nbytes)(_pack_slots(other, nbytes)) == \
+            _coset_key(p, slots, nbytes)(_pack_slots(counts, nbytes))
 
 
 @settings(max_examples=30, deadline=None)
