@@ -431,7 +431,9 @@ def _count_key_calls(monkeypatch):
     return calls
 
 
-def test_row_lookup_once_per_distinct_packed_output(monkeypatch, tuple_q27):
+def test_slice_test_once_per_distinct_packed_output(monkeypatch, tuple_q27):
+    # The row table tests each distinct packed output once: one coset key
+    # and one lookup in the key table.
     expected = component_row_table(tuple_q27)  # fills the key table
     distinct = set(transform._digit_spectra(tuple_q27)[0])
     calls = _count_key_calls(monkeypatch)

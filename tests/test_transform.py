@@ -42,6 +42,7 @@ from gbent.transform import (
     _slot_bytes,
 )
 from conftest import (
+    all_slices,
     butterfly_bytes,
     coset_key_oracle,
     lone_slice,
@@ -203,6 +204,20 @@ def _assert_key_is_ring_equality(p, k, nbytes, first, second):
         _ring_element(first, p, k) == _ring_element(second, p, k))
 
 
+def _assert_key_reads_slices(p, k, nbytes, v):
+    """The key of v is 0 when every slice is constant and the key of the
+    lone nonconstant slice alone when there is one."""
+    key, combos = _coset_key(p, p**k, nbytes), p ** (k - 1)
+    slices = all_slices(v, p, k, nbytes)
+    lone = lone_slice(v, p, k, nbytes)
+    if lone is None:
+        assert (key(v) == 0) == all(min(s) == max(s) for s in slices)
+    else:
+        row, counts = lone
+        alone = [counts if r == row else [0] * p for r in range(combos)]
+        assert key(v) == key(_pack_slices(alone, nbytes))
+
+
 # (p, k, n, slices, expected lone slice): slot bytes as the butterfly picks
 # them for p^n points, and every count at most p^n.
 CRAFTED_SLICES = {
@@ -244,12 +259,7 @@ def test_coset_key_crafted(case):
     key = _coset_key(p, p**k, nbytes)
     assert key(v) == coset_key_oracle(_slot_counts(v, p**k, nbytes), p, nbytes)
     assert lone_slice(v, p, k, nbytes) == expected
-    if expected is None:
-        assert (key(v) == 0) == all(min(s) == max(s) for s in slices)
-    else:
-        row, counts = expected
-        alone = [counts if r == row else [0] * p for r in range(combos)]
-        assert key(v) == key(_pack_slices(alone, nbytes))
+    _assert_key_reads_slices(p, k, nbytes, v)
     counts = list(_slot_counts(v, p**k, nbytes))
     for r in range(combos):
         lifted = [c + (e % combos == r) for e, c in enumerate(counts)]
@@ -277,10 +287,12 @@ def test_coset_key_at_the_byte_boundary():
     assert short(_pack_slots(first, 1)) == short(_pack_slots(second, 1)) == 243
 
 
-def test_coset_key_random_elements(rng):
+def test_slice_reader_random_elements(rng):
     # Zero, one or two nonconstant slices among constant ones, in every slot
-    # width the butterfly picks for small p^n: the key is the oracle's, and
-    # equal keys are equal ring elements.
+    # width the butterfly picks for small p^n: the coset key reads the
+    # slices (0 when all are constant, the lone nonconstant slice's key when
+    # there is one), it is the oracle's, and equal keys are equal ring
+    # elements.
     for p, k, n in ((3, 1, 4), (3, 2, 4), (3, 4, 5), (5, 2, 3), (5, 3, 4), (7, 2, 3)):
         combos = p ** (k - 1)
         nbytes = butterfly_bytes(p, n)
@@ -289,7 +301,9 @@ def test_coset_key_random_elements(rng):
             slices = [[rng.randrange(p**n + 1)] * p for _ in range(combos)]
             for r in rng.sample(range(combos), min(combos, rng.randrange(3))):
                 slices[r][rng.randrange(p)] = rng.randrange(p**n + 1)
-            counts = list(_slot_counts(_pack_slices(slices, nbytes), p**k, nbytes))
+            v = _pack_slices(slices, nbytes)
+            _assert_key_reads_slices(p, k, nbytes, v)
+            counts = list(_slot_counts(v, p**k, nbytes))
             if previous is not None:
                 _assert_key_is_ring_equality(p, k, nbytes, previous, counts)
             shift = [c + slices[e % combos][0] for e, c in enumerate(counts)]
@@ -299,9 +313,10 @@ def test_coset_key_random_elements(rng):
 
 @pytest.mark.parametrize("p,n,q,k", [(3, 2, 3, 1), (3, 4, 27, 3), (5, 2, 125, 3),
                                      (3, 5, 21, 3)])
-def test_coset_key_on_butterfly_outputs(rng, p, n, q, k):
-    # The keys of the digit-slot butterfly's outputs partition them as the
-    # elements of Z[zeta_(p^k)] they stand for do.
+def test_slice_reader_on_butterfly_outputs(rng, p, n, q, k):
+    # The coset key reads the slices of the digit-slot butterfly's outputs,
+    # and the keys partition the outputs as the elements of Z[zeta_(p^k)]
+    # they stand for do.
     tuples = [random_tuple(rng, p, n, q, k)]
     if n % 2 == 0:
         tuples.append(build_maiorana(random_spec(rng, p, n // 2, q)))
@@ -313,6 +328,7 @@ def test_coset_key_on_butterfly_outputs(rng, p, n, q, k):
         for v in packed:
             counts = _slot_counts(v, p**k, nbytes)
             assert key(v) == coset_key_oracle(counts, p, nbytes)
+            _assert_key_reads_slices(p, k, nbytes, v)
             classes.setdefault(key(v), set()).add(_ring_element(counts, p, k))
         assert all(len(c) == 1 for c in classes.values())
         assert len(set.union(*classes.values())) == len(classes)
