@@ -20,25 +20,22 @@ bundled reference tables and the point-index convention used everywhere
 else in the package, and v.a mod p is entry [r][i] of gbfunc._dot_table,
 the package's one pairing table, which the tensor rows read. For general q
 a successful row match with one global alpha certifies weak regularity
-and produces the dual
-f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q, which is then verified
-against the directly computed spectrum. The row table never forms the
-vector: coset r of transform's digit-slot butterfly is its inverse
-transform at row r, so one coset key (transform._coset_key) per distinct
-packed element, looked up in a cached table of the 2 p^k scaled rows
-(_candidate_keys), decides it. row_decomp decomposes an explicit vector and is
-the oracle the tests compare it against. analyze runs that butterfly once,
-indexes its distinct elements once, reads the spectrum off them by the
-slot map's weights, and at q = p^k reads the verdict and the spectral form
-off the same keys, with no norm computed; is_gbent,
-spectral_form and regularity keep the CycInt path for every q and are its
-oracles.
+and produces the dual f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q.
+The row table never forms the vector: coset r of transform's digit-slot
+butterfly is its inverse transform at row r, so one coset key
+(transform._coset_key) per distinct packed element, looked up in a cached
+table of the 2 p^k scaled rows (_candidate_keys), decides it. analyze, the
+row table and the certificate each read one butterfly, indexed once
+(_packed_pass); row_decomp, is_gbent, spectral_form and regularity keep
+the CycInt path for every q and are their oracles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, product
 from math import lcm
+from operator import not_
 from typing import Callable, Optional, Sequence
 
 from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
@@ -49,8 +46,6 @@ from .gbfunc import (
     GBFunction,
     _dot_table,
     _Record,
-    all_points,
-    compose,
     index_point,
     point_index,
 )
@@ -119,9 +114,9 @@ class GbentReport(_Record):
         return self.is_gbent
 
 
-def _failures(spectrum: Spectrum, hits: Sequence) -> tuple[tuple[int, ...], ...]:
-    """The points whose hit is False or None, in point order."""
-    return tuple(u for u, hit in zip(all_points(spectrum.p, spectrum.n), hits) if not hit)
+def _failures(p: int, n: int, hits: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The points whose hit is False or None, in point order, from a fresh product."""
+    return tuple(compress(product(range(p), repeat=n), map(not_, hits)))
 
 
 def _norm_test(p: int, n: int, modulus: int) -> Callable[[CycInt], bool]:
@@ -134,7 +129,7 @@ def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     if spectrum is None:
         spectrum = wht_fast(f)
     verdicts = _per_distinct(spectrum.values, _norm_test(f.p, f.n, spectrum.modulus))
-    failures = _failures(spectrum, verdicts)
+    failures = _failures(f.p, f.n, verdicts)
     return GbentReport(not failures, failures, spectrum)
 
 
@@ -172,7 +167,7 @@ def spectral_form(
     if spectrum is None:
         spectrum = wht_fast(f)
     forms = _per_distinct(spectrum.values, _form_matcher(f, spectrum.modulus))
-    return SpectralFormReport(forms, _failures(spectrum, forms), spectrum)
+    return SpectralFormReport(forms, _failures(f.p, f.n, forms), spectrum)
 
 
 def _form_matcher(f: GBFunction, modulus: int) -> Callable[[CycInt], Optional[SpectralForm]]:
@@ -319,57 +314,65 @@ def _candidate_keys(
 RowTable = tuple[Optional[RowDecomp], ...]
 
 
+def _packed_pass(source: GBFunction | ComponentTuple):
+    """One butterfly over a component tuple's p^k digit slots or a table's q
+    slots, indexed once: each point's position among the distinct packed
+    elements, their SpectralForm and RowDecomp lists by coset key over p^k
+    slots (None, None otherwise), and a reader of their spectral values."""
+    p, n, q, k = source.p, source.n, source.q, source.k
+    if isinstance(source, ComponentTuple):
+        slots, (packed, nbytes) = p**k, _digit_spectra(source)
+    else:
+        slots, (packed, nbytes) = q, _count_butterfly(p, n, q, source.table)
+    distinct, positions = _distinct(packed)
+    forms = rows = None
+    if slots == p**k:
+        keys = list(map(_coset_key(p, slots, nbytes), distinct))
+        forms, rows = (list(map(table.get, keys)) for table in _candidate_keys(p, n, k, nbytes))
+
+    def values() -> list[CycInt]:
+        weights = _root_weights(p, q, lcm(4, q), slots)
+        return list(map(_spectrum_reader(p, n, weights, nbytes), distinct))
+
+    return positions, forms, rows, values
+
+
 def component_row_table(t: ComponentTuple) -> RowTable:
     """The row decomposition of the component-spectrum vector at every point
     of Z_p^n, None where there is none; agrees with row_decomp on (S_a(u))_a.
     One key and one dict lookup per distinct packed digit spectrum."""
-    packed, nbytes = _digit_spectra(t)
-    distinct, positions = _distinct(packed)
-    keys = map(_coset_key(t.p, t.p**t.k, nbytes), distinct)
-    rows = _candidate_keys(t.p, t.n, t.k, nbytes)[1]
-    return _spread(list(map(rows.get, keys)), positions)
+    positions, _, rows, _ = _packed_pass(t)
+    return _spread(rows, positions)
 
 
 def analyze(doc: FunctionDoc) -> tuple[RegularityReport, Optional[RowTable]]:
     """The regularity of a loaded function, and its row table if it is gbent.
 
-    All are read off one butterfly: over the digit slots of a components
-    file, or the q slots of a table at q = p^k, indexed once by distinct
-    packed element. Each distinct element is read into a spectral value
-    and, by its coset key, looked up in the row table and, at q = p^k, in
-    the norm-p^n candidates, which give the verdict and the spectral form
-    without a norm. A table at general q has no digits to read a row table
-    from.
+    All are read off one _packed_pass, over the digit slots of a components
+    file or the q slots of a table: a spectral value per distinct element,
+    and over p^k slots its row and, at q = p^k, its verdict and spectral
+    form by coset key. At general q the verdict and forms are the norms and
+    candidate matches of the distinct values; a table there has no row table.
     """
-    f, t = doc.function, doc.components
-    if t is None and not f.is_prime_power:
-        return regularity(f), None
-    p, n, k = f.p, f.n, f.k
-    packed, nbytes = _count_butterfly(p, n, f.q, f.table) if t is None else _digit_spectra(t)
-    distinct, positions = _distinct(packed)
-
-    def per_point(convert: Callable, items: Sequence) -> tuple:
-        return _spread([convert(v) for v in items], positions)
-
+    f = doc.function
+    positions, forms, rows, read = _packed_pass(doc.components or f)
     modulus = lcm(4, f.q)
-    read = _spectrum_reader(p, n, _root_weights(p, f.q, modulus, p**k), nbytes)
-    values = list(map(read, distinct))
-    spectrum = Spectrum(p, n, f.q, modulus, _spread(values, positions))
-    keys = list(map(_coset_key(p, p**k, nbytes), distinct))
+    values = read()
+    spectrum = Spectrum(f.p, f.n, f.q, modulus, _spread(values, positions))
     if f.is_prime_power:  # a value has norm p^n exactly when it has a form
-        verdicts = per_point(_candidate_keys(p, n, k, nbytes)[0].get, keys)
+        verdicts = _spread(forms, positions)
     else:
-        verdicts = per_point(_norm_test(p, n, modulus), values)
-    failures = _failures(spectrum, verdicts)
+        verdicts = _spread(list(map(_norm_test(f.p, f.n, modulus), values)), positions)
+    failures = _failures(f.p, f.n, verdicts)
 
     def spectral() -> SpectralFormReport:
         if f.is_prime_power:
             return SpectralFormReport(verdicts, failures, spectrum)
-        forms = per_point(_form_matcher(f, modulus), values)
-        return SpectralFormReport(forms, _failures(spectrum, forms), spectrum)
+        matches = _spread(list(map(_form_matcher(f, modulus), values)), positions)
+        return SpectralFormReport(matches, _failures(f.p, f.n, matches), spectrum)
 
     reg = _regularity(GbentReport(not failures, failures, spectrum), spectral)
-    return reg, None if failures else per_point(_candidate_keys(p, n, k, nbytes)[1].get, keys)
+    return reg, None if failures or rows is None else _spread(rows, positions)
 
 
 class RowCriterionReport(_Record):
@@ -393,9 +396,8 @@ def hadamard_row_criterion(t: ComponentTuple) -> RowCriterionReport:
     """
     if not t.q == t.p**t.k:
         raise ValueError(f"row criterion needs q = p^k, got q={t.q}")
-    points = all_points(t.p, t.n)
     decomps = component_row_table(t)
-    failures = tuple(points[u] for u, d in enumerate(decomps) if d is None)
+    failures = _failures(t.p, t.n, decomps)
     return RowCriterionReport(not failures, decomps, failures)
 
 
@@ -415,26 +417,23 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     """Certify weak regularity of compose(t) through its component rows.
 
     Succeeds when every point decomposes with a single global alpha and the
-    reconstructed dual reproduces the directly computed spectrum exactly.
-    Returns None otherwise; failure does not imply the function is not
-    gbent (the row condition is sufficient, not necessary, for general q).
+    spectrum read off the rows' own _packed_pass equals the ring elements
+    p^(n/2) alpha zeta_q^(f*(u)) of the reconstructed dual f*. Returns None
+    otherwise; failure does not imply the function is not gbent (the row
+    condition is sufficient, not necessary, for general q).
     """
-    p, q = t.p, t.q
-    decomps = component_row_table(t)
-    if any(d is None for d in decomps):
+    p, n, q = t.p, t.n, t.q
+    positions, _, rows, read = _packed_pass(t)
+    if None in rows or len({row.alpha for row in rows}) != 1:
         return None
-    alphas = {d.alpha for d in decomps}
-    if len(alphas) != 1:
-        return None
-    alpha = alphas.pop()
+    alpha = rows[0].alpha
     # f*(u) = (q/p) j + sum_i v_i p^(k-1-i), and that sum is the row index.
-    dual_table = [((q // p) * d.j + d.row) % q for d in decomps]
-    dual = GBFunction(p, t.n, q, tuple(dual_table))
-    spectrum = wht_fast(compose(t))
-    modulus = spectrum.modulus
-    prefactor = sqrt_p_power(p, t.n, modulus) * alpha_element(alpha, modulus)
+    duals = [((q // p) * row.j + row.row) % q for row in rows]
+    modulus = lcm(4, q)
+    prefactor = sqrt_p_power(p, n, modulus) * alpha_element(alpha, modulus)
     # One expected element per distinct dual value, at most q of them.
-    expected = {d: prefactor * root(modulus, d * (modulus // q)) for d in set(dual_table)}
-    if any(s != expected[d] for s, d in zip(spectrum.values, dual_table)):
+    expected = {d: prefactor * root(modulus, d * (modulus // q)) for d in set(duals)}
+    if any(value != expected[d] for value, d in zip(read(), duals)):
         return None
-    return DualCertificate(alpha, dual, tuple(decomps))
+    return DualCertificate(alpha, GBFunction(p, n, q, _spread(duals, positions)),
+                           _spread(rows, positions))

@@ -46,7 +46,7 @@ def index_point(p: int, n: int, idx: int) -> tuple[int, ...]:
     return tuple(idx // p ** (n - 1 - i) % p for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def all_points(p: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All points of Z_p^n in point-index order.
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -136,3 +137,13 @@ def dense_sparse_powers(modulus):
                 cur[i] -= spill * t
     assert cur == [1] + [0] * (degree - 1)
     return tuple(rows)
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """Point every gbent module attribute that holds original at replacement,
+    so a call through any import of it reaches replacement."""
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "gbent":
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)

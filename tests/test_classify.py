@@ -43,6 +43,7 @@ from conftest import (
     rank_vector,
     random_spec,
     random_tuple,
+    replace_everywhere,
 )
 
 
@@ -443,7 +444,7 @@ def test_slice_test_once_per_distinct_packed_output(monkeypatch, tuple_q27):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("called on the q = p^k path of analyze")
+    raise AssertionError("called on a one-butterfly path")
 
 
 @pytest.mark.parametrize("components", [False, True], ids=["table", "components"])
@@ -534,19 +535,56 @@ def test_weak_regularity_certificate_verifies_dual(tuple_q21):
 
 @pytest.mark.parametrize("u", [0, 80])
 def test_certificate_refused_on_perturbed_spectrum(monkeypatch, tuple_q21, u):
-    # One spectral value moved to another unit of the right shape: the rows
-    # still decompose, but the dual no longer reproduces the spectrum.
-    real = classify.wht_fast
+    # The value read for point u's distinct packed element moved to another
+    # unit of the right shape: the rows still decompose, but the dual no
+    # longer reproduces the spectrum.
+    target = transform._digit_spectra(tuple_q21)[0][u]
+    reader = classify._spectrum_reader
 
-    def perturbed(f):
-        s = real(f)
-        values = list(s.values)
-        values[u] = values[u] * root(s.modulus, s.modulus // s.q)
-        return transform.Spectrum(s.p, s.n, s.q, s.modulus, values)
+    def perturbed_reader(*args):
+        read = reader(*args)
+
+        def value(v):
+            s = read(v)
+            return s * root(s.modulus, s.modulus // 21) if v == target else s
+
+        return value
 
     assert weak_regularity_certificate(tuple_q21) is not None
-    monkeypatch.setattr(classify, "wht_fast", perturbed)
+    monkeypatch.setattr(classify, "_spectrum_reader", perturbed_reader)
     assert weak_regularity_certificate(tuple_q21) is None
+
+
+@pytest.mark.parametrize("q", [6, 12])
+def test_certificate_at_even_q_compares_ring_values(rng, q):
+    # At even q, -1 = zeta_q^(q/2), so a spectral value has two (alpha, dual)
+    # labels. g = x1^2 + x2^2 has alpha -1 in its rows while spectral_form
+    # absorbs the -1 into the dual; the certified dual must still reproduce
+    # the naive spectrum exactly, as must a constructed function's.
+    g = pary_from(3, 2, lambda x: x[0] ** 2 + x[1] ** 2)
+    zero = PAryFunction(3, 2, (0,) * 9)
+    coset = ComponentTuple(3, 2, q, (g,) + (zero,) * (smallest_exponent(3, q) - 1))
+    for t in (coset, build_maiorana(random_spec(rng, 3, 2, q))):
+        cert = weak_regularity_certificate(t)
+        s = wht_naive(compose(t))
+        pref = sqrt_p_power(3, t.n, s.modulus) * alpha_element(cert.alpha, s.modulus)
+        step = s.modulus // q
+        assert s.values == tuple(pref * root(s.modulus, d * step) for d in cert.dual.table)
+    reg = regularity(compose(coset))
+    assert (weak_regularity_certificate(coset).alpha, reg.alpha) == ("-1", "+1")
+
+
+def test_certificate_runs_one_butterfly(monkeypatch, tuple_q21):
+    # The rows and the dual check share the digit-slot butterfly: compose(t)
+    # is never built and no second spectrum is computed.
+    from gbent import gbfunc
+
+    expected = weak_regularity_certificate(tuple_q21)  # fills the caches
+    calls = _count_calls(monkeypatch, transform, "_group_ring_butterfly")
+    for oracle in (gbfunc.compose, transform.wht_fast):
+        replace_everywhere(monkeypatch, oracle, _refuse)
+    assert weak_regularity_certificate(tuple_q21) == expected
+    assert len(calls) == 1
 
 
 def test_certificate_k1_reduces_to_pary_matching():
@@ -668,8 +706,8 @@ def _partly_bent(rng, p, q):
 
 def _differential_tables(rng, p, n, q):
     """A constructed, a coset-valued, a partly failing and a random table
-    Z_p^n -> Z_q, q = p^k: the first two gbent, the third the sum of a
-    gbent function and a partly bent one on separate variables."""
+    Z_p^n -> Z_q, p | q: the first two gbent, the third the sum of a gbent
+    function and a partly bent one on separate variables."""
     if n % 2 == 0:
         constructed = compose(build_maiorana(random_spec(rng, p, n // 2, q))).table
     elif n == 1:
@@ -700,6 +738,21 @@ def test_analyze_at_prime_power_matches_oracles(rng, q, n):
         expected = (reg, rows if reg.gbent else None)
         assert analyze(FunctionDoc(f, None)) == expected
         assert analyze(FunctionDoc(f, t)) == expected
+        verdicts.append((reg.verdict, len(reg.gbent.failures)))
+    assert [v != "not_gbent" for v, _ in verdicts] == [True, True, False, False]
+    assert 0 < verdicts[2][1] < p**n
+
+
+@pytest.mark.parametrize("p,q,n", [(3, q, n) for q in (6, 12, 15, 21, 45) for n in (3, 4)]
+                         + [(5, q, n) for q in (10, 15) for n in (2, 3)])
+def test_analyze_table_at_general_q_matches_oracle(rng, p, q, n):
+    # A table at general q: the verdict, alpha, failures and forms read off
+    # one butterfly over its q slots equal regularity on the naive spectrum,
+    # and there is no row table.
+    verdicts = []
+    for f in _differential_tables(rng, p, n, q):
+        reg = regularity(f, wht_naive(f))
+        assert analyze(FunctionDoc(f, None)) == (reg, None)
         verdicts.append((reg.verdict, len(reg.gbent.failures)))
     assert [v != "not_gbent" for v, _ in verdicts] == [True, True, False, False]
     assert 0 < verdicts[2][1] < p**n

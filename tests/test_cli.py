@@ -18,6 +18,7 @@ from gbent import (
     wht_naive,
 )
 from gbent.cli import _fmt_point, _point_labels, compare_reference_tables, main
+from conftest import replace_everywhere
 
 
 def write(path, text):
@@ -227,34 +228,53 @@ def test_cli_output_matches_golden(capsys, monkeypatch, case):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
 
 
-def _count_calls(monkeypatch, name, original):
-    """Record every call to original through the attribute `name` of any
-    gbent module that holds it."""
+def _count_calls(monkeypatch, original):
+    """Record every call to original through any gbent module that holds it."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for modname, module in list(sys.modules.items()):
-        if modname.split(".")[0] == "gbent" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
+    replace_everywhere(monkeypatch, original, counted)
     return calls
 
 
-@pytest.mark.parametrize("name", ["q27_table", "q27_components", "q21_components"])
+@pytest.mark.parametrize("name", ["q27_table", "q27_components", "q21_components",
+                                  "q21_table"])
 def test_analyze_runs_one_butterfly(capsys, monkeypatch, name):
-    # A table at q = p^k, a components file at q = p^k and one at general q:
-    # the verdict, spectral form and row table share one butterfly, and the
-    # table is never split into digits.
+    # A table at q = p^k, a components file at q = p^k and one at general q,
+    # and a table at general q: the verdict, spectral form and row table
+    # share one butterfly, and the table is never split into digits. Only
+    # the table at general q has no row table.
     from gbent import gbfunc, transform
 
-    butterflies = _count_calls(monkeypatch, "_group_ring_butterfly",
-                               transform._group_ring_butterfly)
-    digit_calls = _count_calls(monkeypatch, "digits", gbfunc.digits)
+    butterflies = _count_calls(monkeypatch, transform._group_ring_butterfly)
+    digit_calls = _count_calls(monkeypatch, gbfunc.digits)
     code, out, _ = run(capsys, "analyze", "--input", str(GOLDEN_DIR / f"{name}.json"))
-    assert code == 0 and "\t-\t-\t" not in out  # every point has a row
+    assert code == 0 and ("\t-\t-\t" in out) == (name == "q21_table")
     assert (len(butterflies), len(digit_calls)) == (1, 0)
+
+
+ANALYZE_CASES = [c for c in GOLDEN_CASES if c["argv"][0] == "analyze"]
+
+
+@pytest.mark.parametrize("case", ANALYZE_CASES, ids=[c["name"] for c in ANALYZE_CASES])
+def test_analyze_skips_the_oracles(capsys, monkeypatch, case):
+    # analyze reads every input off its one butterfly: the CycInt-path
+    # classifiers and the separate spectrum are never called.
+    from gbent import classify, transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called by analyze")
+
+    for oracle in (classify.regularity, classify.is_gbent, classify.spectral_form,
+                   transform.wht_fast):
+        replace_everywhere(monkeypatch, oracle, refuse)
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
 
 
 @pytest.mark.parametrize(

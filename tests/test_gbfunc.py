@@ -40,6 +40,19 @@ def test_all_points_in_index_order(p, n):
     assert all_points(p, n) == tuple(index_point(p, n, i) for i in range(p**n))
 
 
+def test_all_points_cache_is_bounded():
+    # The cache holds a bounded number of point tables; an evicted table is
+    # rebuilt equal to the first.
+    maxsize = all_points.cache_info().maxsize
+    assert maxsize is not None
+    first = all_points(3, 4)
+    for p in range(2, maxsize + 3):
+        all_points(p, 1)
+    misses = all_points.cache_info().misses
+    assert all_points(3, 4) == first == tuple(index_point(3, 4, i) for i in range(81))
+    assert all_points.cache_info().misses == misses + 1
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_dot_table_is_the_pairing(p, n):
     points = all_points(p, n)
