@@ -26,8 +26,11 @@ butterfly is its inverse transform at row r, so one coset key
 (transform._coset_key) per distinct packed element, looked up in a cached
 table of the 2 p^k scaled rows (_candidate_keys), decides it. analyze, the
 row table and the certificate each read one butterfly, indexed once
-(_packed_pass); row_decomp, is_gbent, spectral_form and regularity keep
-the CycInt path for every q and are their oracles.
+(_packed_pass). The certificate reads no spectral value: a key match fixes
+the value up to the slot map's kernel, and the one check left, that each
+candidate's alpha label is right, runs once per cached table;
+row_decomp, is_gbent, spectral_form and regularity keep the CycInt path
+for every q and are their oracles.
 """
 
 from __future__ import annotations
@@ -295,14 +298,26 @@ def _candidate_keys(
     alpha zeta_p^j times row r exactly when the element is
     p^(n/2) alpha X^(jC + r). The key is linear: each candidate's is a
     signed sum of the monomials' keys.
+
+    The slot map sends the candidate sign p^(n//2) G X^(jC + r), G = g at
+    odd n and 1 at even n, to sign p^(n//2) G' zeta_q^((q/p) j + r), with
+    G' = sum_t (t/p) zeta_p^t the image of g (1 at even n). Each alpha label
+    is checked once per table, one ring product per sign: unless
+    sign p^(n//2) G' = p^(n/2) alpha, InternalConsistencyError is raised.
     """
     q, combos = p**k, p ** (k - 1)
     key = _coset_key(p, q, nbytes)
     unit = [key(1 << (e * 8 * nbytes)) for e in range(q)]
     gauss = [(0, 1)] if n % 2 == 0 else [
         (t * combos, 1 if pow(t, (p - 1) // 2, p) == 1 else -1) for t in range(1, p)]
+    modulus = lcm(4, p)
+    image = p ** (n // 2) * sum(
+        (c * root(modulus, s // combos * (modulus // p)) for s, c in gauss), CycInt.zero(modulus))
     forms, rows = {}, {}
     for sign, alpha in zip((1, -1), expected_alphas(p, n)):
+        if sign * image != sqrt_p_power(p, n, modulus) * alpha_element(alpha, modulus):
+            raise InternalConsistencyError(
+                f"candidate label {alpha} does not match sign {sign} at p={p}, n={n}")
         for e in range(q):
             value = sign * p ** (n // 2) * sum(c * unit[(e + s) % q] for s, c in gauss)
             forms[value] = SpectralForm(alpha, e)
@@ -416,24 +431,22 @@ class DualCertificate(_Record):
 def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     """Certify weak regularity of compose(t) through its component rows.
 
-    Succeeds when every point decomposes with a single global alpha and the
-    spectrum read off the rows' own _packed_pass equals the ring elements
-    p^(n/2) alpha zeta_q^(f*(u)) of the reconstructed dual f*. Returns None
-    otherwise; failure does not imply the function is not gbent (the row
-    condition is sufficient, not necessary, for general q).
+    Succeeds when every point decomposes with a single global alpha, read
+    off one _packed_pass. No spectral value is read: a point's coset key
+    equals that of a candidate sign p^(n//2) G X^(jC + r) of
+    _candidate_keys, so its packed element differs from the candidate by a
+    constant on every coset, which the slot map sends to 0; its value is
+    therefore the candidate's image p^(n/2) alpha zeta_q^(f*(u)), with the
+    dual f*(u) = (q/p) j + r and alpha the label that _candidate_keys
+    checks once per table. Returns None otherwise; failure does not imply
+    the function is not gbent (the row condition is sufficient, not
+    necessary, for general q).
     """
     p, n, q = t.p, t.n, t.q
-    positions, _, rows, read = _packed_pass(t)
+    positions, _, rows, _ = _packed_pass(t)
     if None in rows or len({row.alpha for row in rows}) != 1:
         return None
-    alpha = rows[0].alpha
     # f*(u) = (q/p) j + sum_i v_i p^(k-1-i), and that sum is the row index.
     duals = [((q // p) * row.j + row.row) % q for row in rows]
-    modulus = lcm(4, q)
-    prefactor = sqrt_p_power(p, n, modulus) * alpha_element(alpha, modulus)
-    # One expected element per distinct dual value, at most q of them.
-    expected = {d: prefactor * root(modulus, d * (modulus // q)) for d in set(duals)}
-    if any(value != expected[d] for value, d in zip(read(), duals)):
-        return None
-    return DualCertificate(alpha, GBFunction(p, n, q, _spread(duals, positions)),
+    return DualCertificate(rows[0].alpha, GBFunction(p, n, q, _spread(duals, positions)),
                            _spread(rows, positions))

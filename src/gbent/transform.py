@@ -9,14 +9,19 @@ One engine computes every spectrum, and two independent paths check it:
 
   * wht_fast        - the engine, for any q: a radix-p butterfly over the
                       group ring Z[Z_q]. Each point's element is one Python
-                      int holding q counts of b bits each, with 2^b > p^n
+                      int holding q counts of b bits each, with 2^b > 2 p^n
                       (Kronecker substitution), so multiplying by zeta_p^t is
                       a cyclic rotation and the butterfly adds are native
-                      bigint adds. Point x starts as one count at slot f(x).
-                      Within a pass, groups with equal inputs are computed
-                      once and share their outputs; structured inputs
-                      repeat many. The slot map's weights (below) then
-                      read each distinct element into Z[zeta_M].
+                      bigint adds. Point x starts as one count at slot f(x),
+                      so the first pass adds rotated single counts picked by
+                      slot index. Each pass reads groups of p consecutive
+                      items and writes output t of group i at
+                      t p^(n-1) + i, which leaves the points in index order
+                      after the last pass. Within a pass, groups with equal
+                      inputs are computed once and share their outputs;
+                      structured inputs repeat many. The slot map's weights
+                      (below) then read each distinct element into
+                      Z[zeta_M].
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
@@ -79,8 +84,9 @@ does not hold, see inverse_wht).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import lcm
-from operator import lshift, mul
+from operator import getitem, lshift, mul
 from typing import Callable, Optional, Sequence
 
 from .cyclotomic import (
@@ -161,17 +167,31 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
 
 
 def _group_ring_butterfly(
-    p: int, slots: int, nbytes: int, vals: list[int], sign: int
+    p: int,
+    slots: int,
+    nbytes: int,
+    vals: Sequence,
+    sign: int,
+    first: Optional[Callable[[tuple], tuple[int, ...]]] = None,
 ) -> list[int]:
-    """sum_y zeta_p^(sign x.y) vals[y] at every point x of Z_p^n, in place.
+    """sum_y zeta_p^(sign x.y) vals[y] at every point x of Z_p^n, len(vals)
+    = p^n, as a new list; vals is not changed.
 
-    Radix-p butterfly, one pass per coordinate, on packed elements of the
-    group ring Z[Z_slots] (p | slots): slot e, b = 8 * nbytes bits wide,
-    counts zeta_slots^e. Callers keep every slot nonnegative and pick b so
-    that no output slot reaches 2^b, so no slot ever carries into the next.
-    The kernel zeta_p^(sign t d) = zeta_slots^((sign t d mod p) slots/p) is
-    a cyclic rotation of the slots: shift left, then fold the bits above
-    the top slot back onto the bottom one. Point-index order in and out.
+    Radix-p butterfly on packed elements of the group ring Z[Z_slots]
+    (p | slots): slot e, b = 8 * nbytes bits wide, counts zeta_slots^e.
+    Callers keep every slot nonnegative and pick b so that no output slot
+    reaches 2^b, so no slot ever carries into the next. The kernel
+    zeta_p^(sign t d) = zeta_slots^((sign t d mod p) slots/p) is a cyclic
+    rotation of the slots: shift left, then fold the bits above the top slot
+    back onto the bottom one; the d = 0 term takes no shift. first, if
+    given, computes the first pass's p outputs of a group of p items of
+    vals in place of the packed group (see _count_butterfly).
+
+    Self-sorting passes: each reads the list as p^(n-1) groups of p
+    consecutive items, which differ in the last coordinate only, and writes
+    output t of group i at t p^(n-1) + i, so the transformed coordinate
+    moves to the front. After n passes the points are back in point-index
+    order, with no strided reads or writes.
 
     A group's p outputs depend only on its p inputs (the kernel is fixed for
     the call), so each pass memoizes them by the tuple of inputs, and groups
@@ -181,39 +201,44 @@ def _group_ring_butterfly(
     each pass, so it holds at most p^n / p keys, and after a pass in which
     no group repeats, the rest of the call runs without it.
     """
-    size = len(vals)
     bits = 8 * nbytes
     width = slots * bits
     mask = (1 << width) - 1
     unit = (slots // p) * bits
-    kernel = [[((sign * t * d) % p) * unit for d in range(p)] for t in range(1, p)]
+    kernel = [[((sign * t * d) % p) * unit for d in range(1, p)] for t in range(1, p)]
 
-    def group(olds: list[int]) -> list[int]:
+    def group(olds: tuple[int, ...]) -> tuple[int, ...]:
+        head, tail = olds[0], olds[1:]
         outs = [sum(olds)]  # t = 0 rotates nothing, so nothing folds
         for shifts in kernel:
-            acc = sum(map(lshift, olds, shifts))
+            acc = sum(map(lshift, tail, shifts), head)
             outs.append((acc & mask) + (acc >> width))
-        return outs
+        # The garbage collector untracks a tuple of ints, not a list, so the
+        # outputs a pass holds add no work to its older generations.
+        return tuple(outs)
 
-    memo = True
-    stride = 1
-    while stride < size:
-        span = stride * p
-        seen: dict[tuple[int, ...], list[int]] = {}
-        for start in range(0, size, span):
-            for base in range(start, start + stride):
-                olds = vals[base : base + span : stride]
-                if memo:
-                    key = tuple(olds)
-                    outs = seen.get(key)
-                    if outs is None:
-                        outs = seen[key] = group(olds)
-                else:
-                    outs = group(olds)
-                vals[base : base + span : stride] = outs
-        memo = memo and len(seen) < size // p
-        stride = span
-    return vals
+    step, memo, span = first or group, True, 1
+    while span < len(vals):
+        outs, memo = _group_outputs(p, step, vals, memo)
+        del vals  # frees the input list, unless the caller holds it, before the output
+        vals = [out[t] for t in range(p) for out in outs]  # t of group i at t p^(n-1) + i
+        del outs
+        step, span = group, span * p
+    return vals if span > 1 else list(vals)
+
+
+def _group_outputs(
+    p: int, step: Callable[[tuple], tuple[int, ...]], vals: Sequence, memo: bool
+) -> tuple[list[tuple[int, ...]], bool]:
+    """step of each group of p consecutive items of vals, and whether some
+    group repeated, which decides the memo of the next pass. With memo,
+    groups with equal inputs share one step and its output objects."""
+    groups = zip(*[iter(vals)] * p)
+    if not memo:
+        return list(map(step, groups)), False
+    seen: dict[tuple, tuple[int, ...]] = {}
+    outs = [seen.get(olds) or seen.setdefault(olds, step(olds)) for olds in groups]
+    return outs, len(seen) < len(outs)
 
 
 def _count_butterfly(
@@ -221,17 +246,28 @@ def _count_butterfly(
 ) -> tuple[list[int], int]:
     """sum_x zeta_p^(-u.x) zeta_slots^(table[x]) at every point u, packed.
 
-    Point x starts as the single count at slot table[x], one shared object
-    per slot. Counts are nonnegative and sum to p^n, so slots of the fewest
-    bytes above 2 p^n never carry, and the difference of two counts fits
-    in a slot as a signed number, which _coset_key needs. Returns the packed
-    elements in point-index order and the slot bytes.
+    Point x starts as the single count at slot table[x]. Counts are
+    nonnegative and sum to p^n, so slots of the fewest bytes above 2 p^n
+    never carry, and the difference of two counts fits in a slot as a
+    signed number, which _coset_key needs. Returns the packed elements in
+    point-index order and the slot bytes.
+
+    The butterfly reads the table itself: output t of a first-pass group of
+    slot indices (e_0, ..., e_(p-1)) is the sum over d of the single count
+    at e_d rotated by (-t d mod p) slots/p slots, read off p rotated copies
+    of the singles, so that pass is memoized by tuples of small ints.
     """
     nbytes = _slot_bytes(2 * p**n)
     bits = 8 * nbytes
     singles = [1 << (e * bits) for e in range(slots)]
-    starts = [singles[v] for v in table]
-    return _group_ring_butterfly(p, slots, nbytes, starts, -1), nbytes
+    turn = slots // p
+    rotated = [singles[r * turn :] + singles[: r * turn] for r in range(p)]
+    rows = [[rotated[(-t * d) % p] for d in range(p)] for t in range(p)]
+
+    def first(slot_indices: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([sum(map(getitem, row, slot_indices)) for row in rows])
+
+    return _group_ring_butterfly(p, slots, nbytes, table, -1, first), nbytes
 
 
 def _coset_key(p: int, slots: int, nbytes: int) -> Callable[[int], int]:
@@ -375,10 +411,12 @@ def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
     bound = max((max(max(v.coeffs), -min(v.coeffs)) for v in s.values), default=0)
     nbytes = _slot_bytes(ctx.fold * size * 2 * bound)
     lift = _pack_slots([bound] * modulus, nbytes)
-    vals = [_pack_signed(v.coeffs, nbytes) + lift for v in s.values]
+    # Passed unnamed, so the butterfly frees the lifted inputs after its first pass.
+    outs = _group_ring_butterfly(
+        p, modulus, nbytes, [_pack_signed(v.coeffs, nbytes) + lift for v in s.values], 1
+    )
     return tuple(
-        CycInt(modulus, _reduce_packed(ctx, v, nbytes)).divide_exact(size)
-        for v in _group_ring_butterfly(p, modulus, nbytes, vals, 1)
+        CycInt(modulus, _reduce_packed(ctx, v, nbytes)).divide_exact(size) for v in outs
     )
 
 

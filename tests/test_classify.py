@@ -6,6 +6,7 @@ from gbent import (
     ComponentTuple,
     CycInt,
     GBFunction,
+    InternalConsistencyError,
     PAryFunction,
     FunctionDoc,
     all_points,
@@ -533,45 +534,73 @@ def test_weak_regularity_certificate_verifies_dual(tuple_q21):
         assert s.values[u] == expected
 
 
-@pytest.mark.parametrize("u", [0, 80])
-def test_certificate_refused_on_perturbed_spectrum(monkeypatch, tuple_q21, u):
-    # The value read for point u's distinct packed element moved to another
-    # unit of the right shape: the rows still decompose, but the dual no
-    # longer reproduces the spectrum.
-    target = transform._digit_spectra(tuple_q21)[0][u]
-    reader = classify._spectrum_reader
-
-    def perturbed_reader(*args):
-        read = reader(*args)
-
-        def value(v):
-            s = read(v)
-            return s * root(s.modulus, s.modulus // 21) if v == target else s
-
-        return value
-
-    assert weak_regularity_certificate(tuple_q21) is not None
-    monkeypatch.setattr(classify, "_spectrum_reader", perturbed_reader)
-    assert weak_regularity_certificate(tuple_q21) is None
+def _coset_tuple(n, q):
+    """x_1^2 + ... + x_n^2 over Z_3 as the leading digit at q, the lower
+    digits 0: every component vector is a scaled row 0, with alpha = -1 at
+    n = 2 and alpha = -i at n = 3 (the Gauss sum i sqrt(3), cubed)."""
+    g = pary_from(3, n, lambda x: sum(xi * xi for xi in x))
+    zero = PAryFunction(3, n, (0,) * 3**n)
+    return ComponentTuple(3, n, q, (g,) + (zero,) * (smallest_exponent(3, q) - 1))
 
 
-@pytest.mark.parametrize("q", [6, 12])
+@pytest.mark.parametrize("n", [4, 3], ids=["even-n", "odd-n"])
+def test_certificate_refused_on_mislabelled_candidates(monkeypatch, tuple_q21, n):
+    # The certificate reads no spectral value, so the alpha labels of the
+    # candidate table are all it trusts; with the two labels swapped, the
+    # table's own check refuses them.
+    t = tuple_q21 if n == 4 else _coset_tuple(3, 21)
+    swapped = tuple(reversed(expected_alphas(3, n)))
+    classify._candidate_keys.cache_clear()
+    monkeypatch.setattr(classify, "expected_alphas", lambda p, n: swapped)
+    with pytest.raises(InternalConsistencyError):
+        weak_regularity_certificate(t)
+    monkeypatch.undo()
+    assert weak_regularity_certificate(t) is not None
+
+
+def test_certificate_reads_no_values(monkeypatch, rng, tuple_q21):
+    # No spectral value is read and no ring product is taken per certificate:
+    # two certificates with the same parameters build the candidate table,
+    # and so run its label check (two ring products), once.
+    products = []
+    product = CycInt.__mul__
+
+    def counted(a, b):
+        if isinstance(b, CycInt):
+            products.append((a, b))
+        return product(a, b)
+
+    other = build_maiorana(random_spec(rng, 3, 2, 21))
+    expected = [weak_regularity_certificate(t) for t in (tuple_q21, other)]
+    classify._candidate_keys.cache_clear()
+    monkeypatch.setattr(classify, "_spectrum_reader", _refuse)
+    monkeypatch.setattr(CycInt, "__mul__", counted)
+    monkeypatch.setattr(CycInt, "__rmul__", counted)
+    assert [weak_regularity_certificate(t) for t in (tuple_q21, other)] == expected
+    assert classify._candidate_keys.cache_info().misses == 1
+    assert len(products) == 2
+    assert weak_regularity_certificate(tuple_q21) == expected[0]
+    assert len(products) == 2
+
+
+@pytest.mark.parametrize("q", [6, 12, 15, 21, 45])
 def test_certificate_at_even_q_compares_ring_values(rng, q):
-    # At even q, -1 = zeta_q^(q/2), so a spectral value has two (alpha, dual)
-    # labels. g = x1^2 + x2^2 has alpha -1 in its rows while spectral_form
-    # absorbs the -1 into the dual; the certified dual must still reproduce
-    # the naive spectrum exactly, as must a constructed function's.
-    g = pary_from(3, 2, lambda x: x[0] ** 2 + x[1] ** 2)
-    zero = PAryFunction(3, 2, (0,) * 9)
-    coset = ComponentTuple(3, 2, q, (g,) + (zero,) * (smallest_exponent(3, q) - 1))
-    for t in (coset, build_maiorana(random_spec(rng, 3, 2, q))):
+    # Each certified dual must reproduce the naive spectrum exactly, through
+    # p^(n/2) alpha zeta_q^(f*(u)): for coset functions at n = 2 (alpha -1)
+    # and n = 3 (alpha -i, the Gauss-sum branch of the candidate check), and
+    # a constructed function. At even q, -1 = zeta_q^(q/2), so a spectral
+    # value has two (alpha, dual) labels: x1^2 + x2^2 keeps alpha -1 in its
+    # rows while regularity absorbs the -1 into the dual.
+    for t in (_coset_tuple(2, q), _coset_tuple(3, q), build_maiorana(random_spec(rng, 3, 2, q))):
         cert = weak_regularity_certificate(t)
         s = wht_naive(compose(t))
         pref = sqrt_p_power(3, t.n, s.modulus) * alpha_element(cert.alpha, s.modulus)
         step = s.modulus // q
         assert s.values == tuple(pref * root(s.modulus, d * step) for d in cert.dual.table)
-    reg = regularity(compose(coset))
-    assert (weak_regularity_certificate(coset).alpha, reg.alpha) == ("-1", "+1")
+    assert weak_regularity_certificate(_coset_tuple(3, q)).alpha == "-i"
+    reg = regularity(compose(_coset_tuple(2, q)))
+    assert (weak_regularity_certificate(_coset_tuple(2, q)).alpha, reg.alpha) == \
+        ("-1", "+1" if q % 2 == 0 else "-1")
 
 
 def test_certificate_runs_one_butterfly(monkeypatch, tuple_q21):

@@ -29,8 +29,9 @@ from gbent import (
     wht_naive,
     wht_pary_fast,
 )
+from gbent import transform
 from gbent.cyclotomic import _pack_slots, _slot_counts
-from gbent.gbfunc import smallest_exponent
+from gbent.gbfunc import _dot_table, smallest_exponent
 from gbent.transform import (
     _coset_key,
     _count_butterfly,
@@ -38,6 +39,7 @@ from gbent.transform import (
     _digit_spectra,
     _fast_spectrum,
     _gamma_weights,
+    _group_ring_butterfly,
     _root_weights,
     _slot_bytes,
 )
@@ -172,6 +174,77 @@ def test_engine_equals_naive_oracle_structured(rng, case):
     packed, _ = _count_butterfly(f.p, f.n, f.q, f.table)
     assert len(set(map(id, packed))) < len(packed)
     assert wht_fast(f).values == wht_naive(f).values
+
+
+def _direct_sum(p, n, slots, nbytes, vals, sign):
+    """sum_y zeta_p^(sign x.y) vals[y] at every point x of Z_p^n, slot by
+    slot in Z[Z_slots]: each of y's counts moves up (sign x.y mod p) slots/p
+    slots."""
+    counts = [_slot_counts(v, slots, nbytes) for v in vals]
+    out = []
+    for dots in _dot_table(p, n):
+        acc = [0] * slots
+        for vec, d in zip(counts, dots):
+            shift = (sign * d % p) * (slots // p)
+            for e, c in enumerate(vec):
+                acc[(e + shift) % slots] += c
+        out.append(_pack_slots(acc, nbytes))
+    return out
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["repeating", "dense"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_ring_butterfly_equals_direct_sum(monkeypatch, rng, p, n, sign, dense):
+    # Repeating inputs, two elements chosen by the leading coordinate, repeat
+    # groups in every pass; dense ones repeat no group in the first pass, so
+    # the memo is off for the rest of the call. The input list is left as it
+    # was.
+    slots, size = 2 * p, p**n
+    nbytes = _slot_bytes(9 * size)
+    pool = [_pack_slots([rng.randrange(10) for _ in range(slots)], nbytes)
+            for _ in range(size if dense else 2)]
+    vals = pool if dense else [pool[y // p ** (n - 1) % 2] for y in range(size)]
+    before = list(vals)
+    memos = []
+    group_outputs = transform._group_outputs
+    monkeypatch.setattr(transform, "_group_outputs",
+                        lambda p, step, vals, memo: memos.append(memo) or
+                        group_outputs(p, step, vals, memo))
+    assert _group_ring_butterfly(p, slots, nbytes, vals, sign) == \
+        _direct_sum(p, n, slots, nbytes, vals, sign)
+    assert vals == before
+    assert memos == [True] + [not dense] * (n - 1)
+
+
+@pytest.mark.parametrize("case", ["affine", "maiorana-q27", "maiorana-q125"])
+def test_count_butterfly_first_pass_shares_equal_slot_groups(monkeypatch, rng, case):
+    # The first pass, computed from slot indices, gives groups with equal
+    # slot-index tuples the same output objects, and each group's outputs
+    # are the one-coordinate butterfly of its single counts.
+    f = _structured(rng, case)
+    p, q, table = f.p, f.q, f.table
+    passes = []
+    group_outputs = transform._group_outputs
+
+    def spy(*args):
+        outs, memo = group_outputs(*args)
+        passes.append(outs)
+        return outs, memo
+
+    monkeypatch.setattr(transform, "_group_outputs", spy)
+    packed, nbytes = _count_butterfly(p, f.n, q, table)
+    assert len(passes) == f.n
+    singles = [1 << (8 * nbytes * e) for e in range(q)]
+    shared = {}
+    for i, outs in enumerate(passes[0]):
+        slot_indices = table[i * p : (i + 1) * p]
+        assert shared.setdefault(slot_indices, outs) is outs
+        assert list(outs) == _group_ring_butterfly(
+            p, q, nbytes, [singles[e] for e in slot_indices], -1)
+    assert len(shared) < len(passes[0])
+    assert packed == _group_ring_butterfly(p, q, nbytes, [singles[v] for v in table], -1)
 
 
 @pytest.mark.parametrize("case", ["maiorana-q27", "maiorana-q21"])
