@@ -41,7 +41,7 @@ from math import lcm
 from operator import not_
 from typing import Callable, Optional, Sequence
 
-from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
+from .cyclotomic import CycInt, root, sqrt_p_power
 from .errors import InternalConsistencyError
 from .gbfunc import (
     ComponentTuple,
@@ -89,16 +89,14 @@ def _unit_candidates(p: int, n: int, q: int, modulus: int):
     collapses (e.g. -1 is itself a power of zeta_q) and the first writer in
     the deterministic alpha-then-j order wins.
     """
-    ctx = _context(modulus)
-    terms = [(e, c) for e, c in enumerate(sqrt_p_power(p, n, modulus).coeffs) if c]
+    scale = sqrt_p_power(p, n, modulus)
     step_q = modulus // q
     table: dict[CycInt, tuple[str, int]] = {}
     for alpha in ALPHAS:
         turn = _ALPHA_QUARTER_TURNS[alpha] * (modulus // 4)
         for j in range(q):
-            # p^(n/2) alpha zeta_q^j rotates every term by alpha's turn + j M/q.
-            shift = turn + j * step_q
-            key = CycInt(modulus, _reduce_terms(ctx, [(e + shift, c) for e, c in terms]))
+            # p^(n/2) alpha zeta_q^j rotates p^(n/2) by alpha's turn + j M/q.
+            key = scale.rotate(turn + j * step_q)
             if key not in table:
                 table[key] = (alpha, j)
     if q % 2 == 1 and len(table) != 4 * q:

@@ -24,26 +24,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .classify import analyze, component_row_table, is_gbent
+from .classify import analyze, is_gbent
 from .errors import FunctionFormatError
-from .gbfunc import (
-    ComponentTuple,
-    FunctionDoc,
-    all_points,
-    function_to_text,
-    index_point,
-    load_function,
-    point_index,
-    read_text,
-)
-from .construct import build_maiorana, built_function_doc, example_maiorana_q21, \
-    example_maiorana_q27, enumerate_pary_bent, load_construction, quadratic_sweep
+from .gbfunc import FunctionDoc, all_points, function_to_text, load_function, point_index
+# compare_reference_tables is also reachable here, as cli.compare_reference_tables.
+from .construct import _diff_rows, _reference_rows, built_function_doc, \
+    compare_reference_tables, enumerate_pary_bent, load_construction, quadratic_sweep
 from .transform import spectrum_records, wht_fast
-
-_REFERENCE_TABLES = {
-    "q27": ("table_q27.txt", example_maiorana_q27),
-    "q21": ("table_q21.txt", example_maiorana_q21),
-}
 
 
 def _fmt_point(u: Sequence[int]) -> str:
@@ -157,77 +144,6 @@ def cmd_construct(args) -> int:
 
 
 # -- tables ----------------------------------------------------------------------
-
-
-def _load_golden_rows(name: str, golden_dir: Optional[str]):
-    filename, make_spec = _REFERENCE_TABLES[name]
-    p = make_spec().p
-    if golden_dir:
-        try:
-            text = read_text(f"{golden_dir}/{filename}")
-        except FunctionFormatError as e:
-            raise FunctionFormatError(f"{filename}: {e}") from None
-    else:
-        from importlib import resources  # only `tables` reads the bundled files
-
-        text = resources.files("gbent").joinpath(f"data/{filename}").read_text()
-    rows = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise FunctionFormatError(f"{filename}:{lineno}: expected 7 fields")
-        try:
-            u = tuple(int(v) for v in parts[:4])
-            point_index(p, u)
-            rows[u] = (parts[4], int(parts[5]), int(parts[6]))
-        except ValueError as e:
-            raise FunctionFormatError(f"{filename}:{lineno}: {e}") from None
-    return rows
-
-
-def _reference_rows(name: str, golden_dir: Optional[str]):
-    """One bundled example's tuple, its computed row table and its golden rows."""
-    _, make_spec = _REFERENCE_TABLES[name]
-    t = build_maiorana(make_spec())
-    return t, component_row_table(t), _load_golden_rows(name, golden_dir)
-
-
-def _diff_rows(t: ComponentTuple, decomps, golden):
-    """(mismatches, labeling) of a computed row table against golden rows."""
-
-    def diff(relabel):
-        out = []
-        for u, expected in sorted(golden.items()):
-            d = decomps[point_index(t.p, u)]
-            if d is None:
-                out.append((u, expected, None))
-                continue
-            got = (d.alpha, d.j, relabel(d.row))
-            if got != expected:
-                out.append((u, expected, got))
-        return out
-
-    identity = diff(lambda r: r)
-    if not identity:
-        return [], "identity"
-    reversed_ = diff(lambda r: point_index(t.p, index_point(t.p, t.k - 1, r)[::-1]))
-    if not reversed_:
-        return [], "digit-reversed"
-    return identity, "identity"
-
-
-def compare_reference_tables(name: str, golden_dir: Optional[str] = None):
-    """Recompute one bundled table and diff against its golden rows.
-
-    Returns (mismatches, labeling): mismatches is a list of
-    (u, expected, computed); labeling is "identity" or "digit-reversed",
-    whichever matches (identity preferred; a single global row relabeling
-    is the only tolerated difference).
-    """
-    return _diff_rows(*_reference_rows(name, golden_dir))
 
 
 def cmd_tables(args) -> int:

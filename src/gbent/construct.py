@@ -12,14 +12,19 @@ permuting the non-leading components, and restricting to a subset of them
 (which lands in a smaller target ring Z_(p^l)). A brute-force census of
 p-ary bent functions at desk scale serves as an independent oracle; it
 deliberately uses only the naive transform.
+
+The two bundled example instances come with golden row-decomposition
+tables (gbent/data); compare_reference_tables recomputes one and diffs it
+against its golden rows, for the tables command and selftest alike.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .classify import component_row_table, is_gbent
 from .errors import FunctionFormatError
 from .gbfunc import (
     ComponentTuple,
@@ -33,10 +38,12 @@ from .gbfunc import (
     _validate_params,
     all_points,
     compose,
+    index_point,
     point_index,
     read_text,
     smallest_exponent,
 )
+from .transform import wht_naive
 
 
 class AffineSpec(_Record):
@@ -120,6 +127,88 @@ def example_maiorana_q21() -> MaioranaSpec:
     )
 
 
+# -- bundled reference tables --------------------------------------------------
+#
+# Each golden file lists the row decomposition of one example instance at
+# some points: "u_1 u_2 u_3 u_4 alpha j r" per line, # for comments.
+
+_REFERENCE_TABLES = {
+    "q27": ("table_q27.txt", example_maiorana_q27),
+    "q21": ("table_q21.txt", example_maiorana_q21),
+}
+
+
+def _load_golden_rows(name: str, golden_dir: Optional[str]):
+    filename, make_spec = _REFERENCE_TABLES[name]
+    p = make_spec().p
+    if golden_dir:
+        try:
+            text = read_text(f"{golden_dir}/{filename}")
+        except FunctionFormatError as e:
+            raise FunctionFormatError(f"{filename}: {e}") from None
+    else:
+        from importlib import resources  # imported only to read a bundled table
+
+        text = resources.files("gbent").joinpath(f"data/{filename}").read_text()
+    rows = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 7:
+            raise FunctionFormatError(f"{filename}:{lineno}: expected 7 fields")
+        try:
+            u = tuple(int(v) for v in parts[:4])
+            point_index(p, u)
+            rows[u] = (parts[4], int(parts[5]), int(parts[6]))
+        except ValueError as e:
+            raise FunctionFormatError(f"{filename}:{lineno}: {e}") from None
+    return rows
+
+
+def _reference_rows(name: str, golden_dir: Optional[str]):
+    """One bundled example's tuple, its computed row table and its golden rows."""
+    _, make_spec = _REFERENCE_TABLES[name]
+    t = build_maiorana(make_spec())
+    return t, component_row_table(t), _load_golden_rows(name, golden_dir)
+
+
+def _diff_rows(t: ComponentTuple, decomps, golden):
+    """(mismatches, labeling) of a computed row table against golden rows."""
+
+    def diff(relabel):
+        out = []
+        for u, expected in sorted(golden.items()):
+            d = decomps[point_index(t.p, u)]
+            if d is None:
+                out.append((u, expected, None))
+                continue
+            got = (d.alpha, d.j, relabel(d.row))
+            if got != expected:
+                out.append((u, expected, got))
+        return out
+
+    identity = diff(lambda r: r)
+    if not identity:
+        return [], "identity"
+    reversed_ = diff(lambda r: point_index(t.p, index_point(t.p, t.k - 1, r)[::-1]))
+    if not reversed_:
+        return [], "digit-reversed"
+    return identity, "identity"
+
+
+def compare_reference_tables(name: str, golden_dir: Optional[str] = None):
+    """Recompute one bundled table and diff against its golden rows.
+
+    Returns (mismatches, labeling): mismatches is a list of
+    (u, expected, computed); labeling is "identity" or "digit-reversed",
+    whichever matches (identity preferred; a single global row relabeling
+    is the only tolerated difference).
+    """
+    return _diff_rows(*_reference_rows(name, golden_dir))
+
+
 def permute_digits(t: ComponentTuple, pi: Sequence[int]) -> ComponentTuple:
     """Reorder the non-leading components: new f_i = old f_pi(i), i >= 1.
 
@@ -159,9 +248,6 @@ def enumerate_pary_bent(p: int, n: int) -> list[PAryFunction]:
     """
     if (p, n) != (3, 1):
         raise ValueError(f"census supports (p, n) = (3, 1) only, got ({p}, {n})")
-    from .classify import is_gbent
-    from .transform import wht_naive
-
     out = []
     for entries in all_points(p, p**n):
         # Reversed, so the first table entry varies fastest.

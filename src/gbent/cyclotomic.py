@@ -37,10 +37,12 @@ A product of dense operands (nnz(a) nnz(b) > phi(M)) is one bigint
 multiply (Kronecker substitution): each operand is packed one coefficient
 per signed slot of one Python int, slots wide enough for every coefficient
 of the product. Sparse operands, such as roots of unity, keep the loop
-over nonzero pairs, which is faster for them. A norm z conj(z) is the same
-product of the coefficients with their reversal, an autocorrelation whose
-nonnegative exponents are already canonical. The spectrum engine packs its
-group-ring elements in the same slots, unsigned.
+over nonzero pairs, which is faster for them. A product with one root of
+unity zeta_M^t is a rotation (CycInt.rotate): every exponent moves up by t
+and is reduced once. A norm z conj(z) is the same product of the
+coefficients with their reversal, an autocorrelation whose nonnegative
+exponents are already canonical. The spectrum engine packs its group-ring
+elements in the same slots, unsigned.
 
 Text is read and written through one cached table per modulus (_symbols):
 the symbols "z", "z^2", ... of the powers below phi(M), in order, each
@@ -58,7 +60,7 @@ import re
 import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import prod
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
@@ -507,6 +509,17 @@ class CycInt:
             exponent >>= 1
         return result
 
+    def rotate(self, t: int) -> "CycInt":
+        """self times zeta_M^t, for any integer t.
+
+        Multiplying by a root of unity moves every exponent up by t, so the
+        product is one sparse reduction of the shifted terms, with no
+        convolution.
+        """
+        coeffs = self.coeffs
+        terms = compress(zip(range(t, t + len(coeffs)), coeffs), coeffs)  # nonzero ones
+        return CycInt(self.modulus, _reduce_terms(_context(self.modulus), terms))
+
     def conj(self) -> "CycInt":
         """Complex conjugation: the automorphism zeta_M -> zeta_M^(-1)."""
         terms = ((-j, c) for j, c in enumerate(self.coeffs))
@@ -637,6 +650,18 @@ def parse_cycint(text: str) -> CycInt:
 
 def root(modulus: int, t: int) -> CycInt:
     """The canonical form of zeta_modulus^t; root(M, 0) is the identity."""
+    _check_modulus(modulus)
+    return _root(modulus, t % modulus)
+
+
+# Tables and generators call root on the same few exponents over and over.
+# At most ROOT_CACHE_SIZE roots are kept; each holds phi(M) coefficients, so
+# at M = 4620 (phi = 960) a full cache holds about 4 MB.
+ROOT_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _root(modulus: int, t: int) -> CycInt:
     return CycInt(modulus, _reduce_terms(_context(modulus), ((t, 1),)))
 
 
@@ -662,7 +687,7 @@ def _gauss_sqrt_cached(p: int, modulus: int) -> CycInt:
     if p % 4 == 3:
         # The quadratic character sum equals sqrt(-1)*sqrt(p) here; rotate
         # by zeta_4^3 = -sqrt(-1) to land on sqrt(p) itself.
-        acc = acc * root(modulus, 3 * modulus // 4)
+        acc = acc.rotate(3 * modulus // 4)
     if acc * acc != CycInt.integer(modulus, p):
         raise InternalConsistencyError(f"character sum for p={p} did not square to p")
     return acc

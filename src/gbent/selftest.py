@@ -11,6 +11,7 @@ import random
 from math import lcm
 from typing import Callable
 
+from .construct import compare_reference_tables, enumerate_pary_bent
 from .cyclotomic import CycInt, gauss_sqrt, root
 from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, _dot_table, all_points,
                      compose, smallest_exponent)
@@ -136,8 +137,6 @@ def check_composed_equals_naive(seed: int) -> None:
 
 
 def check_census() -> None:
-    from .construct import enumerate_pary_bent
-
     census = enumerate_pary_bent(3, 1)
     assert len(census) == 18, f"census found {len(census)} bent functions"
     expected = {
@@ -150,8 +149,6 @@ def check_census() -> None:
 
 
 def check_reference_tables() -> None:
-    from .cli import compare_reference_tables
-
     for name in ("q27", "q21"):
         mismatches, _ = compare_reference_tables(name)
         assert not mismatches, f"{name}: {len(mismatches)} rows differ"

@@ -25,9 +25,14 @@ One engine computes every spectrum, and two independent paths check it:
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
-                      oracle the tests compare the engine against. It reads
-                      u.x mod p off gbfunc._dot_table, the one pairing table,
-                      as gamma_general and classify's Hadamard rows do.
+                      oracle the tests compare the engine against. Each
+                      term is a q-th root of unity, so x gets its p
+                      exponents (f(x) - (q/p) d) mod q once, and S(u)
+                      counts its terms over the q exponents of zeta_q,
+                      picking d = u.x mod p off gbfunc._dot_table, the one
+                      pairing table, as gamma_general and classify's
+                      Hadamard rows do. It shares only the ring's
+                      canonicalization with the engine.
   * wht_composed    - the paper's composition identity
                       S_f = (1/C) sum_a gamma_a S_a over the C = p^(k-1)
                       digit combinations, through the carry coefficients
@@ -138,7 +143,11 @@ class Spectrum(_Record):
 
 
 def _counts_to_cycint(modulus: int, counts: Sequence[int], step: int = 1) -> CycInt:
-    """Canonicalize sum_e counts[e] zeta_modulus^(e step), reading sparse rows."""
+    """Canonicalize sum_e counts[e] zeta_modulus^(e step), reading sparse rows.
+
+    With step = modulus/q, counts[e] counts zeta_q^e, so a sum of q-th roots
+    of unity is counted over q slots rather than all of Z_modulus.
+    """
     terms = zip(range(0, len(counts) * step, step), counts)
     return CycInt(modulus, _reduce_terms(_context(modulus), terms))
 
@@ -147,22 +156,24 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
     """Direct evaluation of S(u) = sum_x zeta_p^(-u.x) zeta_q^(f(x)).
 
     The trusted oracle: O(p^(2n)), and independent of the engine's
-    butterfly; only the canonicalization is shared. It always runs in this
-    process: jobs must be >= 1 and has no other effect.
+    butterfly; only the canonicalization is shared. Each x gets its p
+    exponents (f(x) - (q/p) d) mod q of zeta_q once, and S(u) counts its
+    terms over the q exponents, picking d = u.x mod p. It always runs in
+    this process: jobs must be >= 1 and has no other effect.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     p, n, q = f.p, f.n, f.q
     modulus = lcm(4, q)
-    step_p = modulus // p
-    step_q = modulus // q
-    shifted = [v * step_q % modulus for v in f.table]
+    shift = q // p
+    exps = [tuple((v - d * shift) % q for d in range(p)) for v in range(q)]
+    rows = [exps[v] for v in f.table]
     values = []
     for dots in _dot_table(p, n):
-        counts = [0] * modulus
-        for s, d in zip(shifted, dots):
-            counts[(s - d * step_p) % modulus] += 1
-        values.append(_counts_to_cycint(modulus, counts))
+        counts = [0] * q
+        for e in map(getitem, rows, dots):
+            counts[e] += 1
+        values.append(_counts_to_cycint(modulus, counts, modulus // q))
     return Spectrum(p, n, q, modulus, tuple(values))
 
 
@@ -460,13 +471,11 @@ def gamma_general(p: int, k: int, q: int, a: Sequence[int]) -> CycInt:
     if q % p != 0 or not (p ** (k - 1) < q <= p**k):
         raise ValueError(f"q={q} incompatible with p={p}, k={k}")
     modulus = lcm(4, q)
-    step_p = modulus // p
-    step_q = modulus // q
-    counts = [0] * modulus
+    shift = q // p
+    counts = [0] * q
     for rank, dot in enumerate(_dot_table(p, k - 1)[point_index(p, a)]):
-        e = ((-dot) % p) * step_p + (rank % q) * step_q
-        counts[e % modulus] += 1
-    return _counts_to_cycint(modulus, counts)
+        counts[(rank - dot * shift) % q] += 1
+    return _counts_to_cycint(modulus, counts, modulus // q)
 
 
 class GammaTable(_Record):
@@ -494,7 +503,7 @@ def _gamma_weights(p: int, k: int, q: int) -> tuple[CycInt, ...]:
     w_r = (1/C) sum_a zeta_p^(a.v') gamma_a, with v' the digits of rank r,
     is inverse_wht of the gamma table over Z_p^(k-1); a remainder in its
     division by C means the gamma table is wrong. Each weight is the
-    canonical form of the product in Z[zeta_M].
+    rotation of w_r by v_0 M/p (CycInt.rotate).
     """
     modulus = lcm(4, q)
     step = modulus // p
@@ -505,7 +514,7 @@ def _gamma_weights(p: int, k: int, q: int) -> tuple[CycInt, ...]:
         raise InternalConsistencyError(
             f"gamma table not divisible by p^(k-1): {e}"
         ) from None
-    return tuple(root(modulus, e * step) * w for e in range(p) for w in rows)
+    return tuple(w.rotate(e * step) for e in range(p) for w in rows)
 
 
 def wht_composed(t: ComponentTuple) -> Spectrum:

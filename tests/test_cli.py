@@ -195,6 +195,25 @@ def test_selftest_passes(capsys):
     assert "12/12 suites passed" in out
 
 
+def test_selftest_as_main_imports_no_second_cli():
+    # python -m runs cli.py as __main__; a suite that imported gbent.cli
+    # would compile and run the whole module a second time.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['gbent', 'selftest', '--seed', '0']\n"
+        "try:\n"
+        "    runpy.run_module('gbent.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    print('exit', e.code, 'gbent.cli' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-2:] == ["selftest: 12/12 suites passed (seed=0)",
+                                             "exit 0 False"]
+
+
 @pytest.mark.parametrize(
     "argv", [("selftest", "--seed", "0"), ("enumerate", "--p", "3", "--n", "1")]
 )

@@ -128,6 +128,34 @@ def test_nonpositive_modulus_is_refused(modulus):
         cyclotomic_polynomial(modulus)
 
 
+def test_root_memo_reads_exponents_mod_m():
+    for modulus in (12, 108, 500):
+        for t in (0, 1, modulus // 4, modulus - 1):
+            value = root(modulus, t)
+            for other in (t + modulus, t - modulus, t - 3 * modulus, -(modulus - t)):
+                assert root(modulus, other) == value, (modulus, t, other)
+    cyclotomic._root.cache_clear()
+    root(84, -1)
+    assert root(84, 83) is root(84, 167)
+    assert cyclotomic._root.cache_info()[:2] == (2, 1)  # hits, misses
+    assert cyclotomic._root.cache_info().maxsize == cyclotomic.ROOT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("modulus, needle", [
+    (0, "modulus must be positive"),
+    (-4, "modulus must be positive"),
+    (3 * 10**12, f"ring modulus {3 * 10**12} exceeds 5000"),
+    (5004, "ring modulus 5004 exceeds 5000"),
+])
+def test_root_refuses_bad_modulus_and_caches_nothing(modulus, needle):
+    roots, contexts = cyclotomic._root.cache_info(), _context.cache_info()
+    for t in (0, 1, -1):
+        with pytest.raises(ValueError, match=needle):
+            root(modulus, t)
+    assert cyclotomic._root.cache_info().currsize == roots.currsize
+    assert _context.cache_info().currsize == contexts.currsize
+
+
 def test_ring_cap_refuses_before_any_table():
     # None of these starts a table: sparse_powers alone would hold one
     # entry per power of zeta_M, 3 10^12 of them.
@@ -287,6 +315,20 @@ def test_sparse_operations_match_sympy(modulus, p, small):
         for j, c in enumerate(g.coeffs):
             poly[j + t] = c
         assert (root(modulus, t) * g).coeffs == sympy_reduce(modulus, poly)
+
+
+@pytest.mark.parametrize("modulus", [12, 20, 36, 84, 100, 108, 196, 500, 1372])
+def test_rotate_is_the_product_with_a_root(modulus):
+    # rotate moves every exponent by t in one sparse reduction; the
+    # reference is the ring product with root(M, t), for t in [-2M, 2M).
+    # root(M, t) is root(M, t mod M), so one product per residue serves.
+    rng = random.Random(modulus)
+    degree = _context(modulus).degree
+    dense = CycInt(modulus, [rng.randrange(-9, 10) for _ in range(degree)])
+    unit = root(modulus, rng.randrange(modulus))
+    products = [(root(modulus, r) * dense, root(modulus, r) * unit) for r in range(modulus)]
+    for t in range(-2 * modulus, 2 * modulus):
+        assert (dense.rotate(t), unit.rotate(t)) == products[t % modulus], t
 
 
 def test_text_format_example():

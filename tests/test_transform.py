@@ -53,6 +53,7 @@ from conftest import (
     random_spec,
     random_tuple,
     rank_vector,
+    replace_everywhere,
 )
 
 # Targets with several prime factors, even ones included.
@@ -81,6 +82,52 @@ def test_naive_linear_multiple():
     assert s.values[0].is_zero()
     assert s.values[1] == 3
     assert s.values[2].is_zero()
+
+
+# Each q with every odd prime p | q and both parities of n, p^n <= 49.
+NAIVE_CASES = [(p, n, q) for q in (6, 9, 15, 21, 25, 27, 45, 49, 125)
+               for p in (3, 5, 7) if q % p == 0 for n in (1, 2, 3) if p**n <= 49]
+
+
+@pytest.mark.parametrize("p,n,q", NAIVE_CASES)
+def test_naive_equals_direct_root_sum(p, n, q):
+    # S(u) = sum_x zeta_p^(-u.x) zeta_q^(f(x)), one root per term, with u.x
+    # from the coordinates: no counts, no pairing table.
+    rng = random.Random(q * 100 + p * 10 + n)
+    f = random_gbfunction(rng, p, n, q)
+    modulus = lcm(4, q)
+    points = all_points(p, n)
+    expected = []
+    for u in points:
+        acc = CycInt.zero(modulus)
+        for x, v in zip(points, f.table):
+            dot = sum(a * b for a, b in zip(u, x))
+            acc = acc + root(modulus, v * (modulus // q) - dot * (modulus // p))
+        expected.append(acc)
+    assert wht_naive(f).values == tuple(expected)
+
+
+def test_naive_oracle_runs_no_engine(monkeypatch, rng):
+    # The oracle and the carry sums must not reach the butterfly or the
+    # engine's reader, or engine-vs-naive tests would compare a path with
+    # itself.
+    cases = [random_gbfunction(rng, p, n, q) for p, n, q in ((3, 3, 27), (3, 2, 21), (5, 2, 25))]
+    spectra = [wht_fast(f).values for f in cases]
+    gammas = {(p, k, q): [gamma_product(p, k, a) for a in all_points(p, k - 1)]
+              for p, k, q in ((3, 3, 27), (5, 3, 125))}
+    general = [gamma_general(3, 3, 21, a) for a in all_points(3, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive oracle reached the engine")
+
+    for name in ("_group_ring_butterfly", "_count_butterfly", "_spectrum_reader"):
+        replace_everywhere(monkeypatch, getattr(transform, name), refuse)
+    assert [wht_naive(f).values for f in cases] == spectra
+    for (p, k, q), expected in gammas.items():
+        assert [gamma_general(p, k, q, a) for a in all_points(p, k - 1)] == expected
+    assert [gamma_general(3, 3, 21, a) for a in all_points(3, 2)] == general
+    with pytest.raises(AssertionError, match="reached the engine"):
+        wht_fast(cases[0])
 
 
 def test_fast_constant_zero():
