@@ -17,8 +17,8 @@ generalized Hadamard matrix H_(p^(k-1)) = H_p tensor ... tensor H_p.
 Rows and columns are indexed big-endian: column i = sum_j a_j p^(k-1-j),
 row r = sum_j v_j p^(k-1-j), pairing entry zeta_p^(v.a); this matches the
 bundled reference tables and the point-index convention used everywhere
-else in the package, and v.a mod p is entry [r][i] of gbfunc._dot_table,
-the package's one pairing table, which the tensor rows read. For general q
+else in the package, and v.a mod p is entry i of row r of the package's
+one pairing, gbfunc._pairing_rows, which the tensor rows read. For general q
 a successful row match with one global alpha certifies weak regularity
 and produces the dual f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q.
 The row table never forms the vector: coset r of transform's digit-slot
@@ -41,13 +41,13 @@ from math import lcm
 from operator import not_
 from typing import Callable, Optional, Sequence
 
-from .cyclotomic import CycInt, root, sqrt_p_power
+from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
 from .errors import InternalConsistencyError
 from .gbfunc import (
     ComponentTuple,
     FunctionDoc,
     GBFunction,
-    _dot_table,
+    _pairing_rows,
     _Record,
     index_point,
     point_index,
@@ -89,14 +89,15 @@ def _unit_candidates(p: int, n: int, q: int, modulus: int):
     collapses (e.g. -1 is itself a power of zeta_q) and the first writer in
     the deterministic alpha-then-j order wins.
     """
-    scale = sqrt_p_power(p, n, modulus)
-    step_q = modulus // q
+    ctx, step_q = _context(modulus), modulus // q
+    terms = [(e, c) for e, c in enumerate(sqrt_p_power(p, n, modulus).coeffs) if c]
     table: dict[CycInt, tuple[str, int]] = {}
     for alpha in ALPHAS:
         turn = _ALPHA_QUARTER_TURNS[alpha] * (modulus // 4)
         for j in range(q):
-            # p^(n/2) alpha zeta_q^j rotates p^(n/2) by alpha's turn + j M/q.
-            key = scale.rotate(turn + j * step_q)
+            # p^(n/2) alpha zeta_q^j moves p^(n/2)'s terms up by alpha's turn + j M/q.
+            shift = turn + j * step_q
+            key = CycInt(modulus, _reduce_terms(ctx, [(e + shift, c) for e, c in terms]))
             if key not in table:
                 table[key] = (alpha, j)
     if q % 2 == 1 and len(table) != 4 * q:
@@ -263,7 +264,7 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
             return None
         v.append((hit[1] - j) % p)
     row = point_index(p, v)
-    for value, exponent in zip(values, _dot_table(p, km1)[row]):
+    for value, exponent in zip(values, next(_pairing_rows(p, km1, v))):
         if candidates.get(value) != (alpha, (j + exponent) % p):
             return None
     return RowDecomp(alpha, j, tuple(v), row)
@@ -275,8 +276,8 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
         raise ValueError(f"row {row} out of range for H_{p}^(tensor {k - 1})")
     if modulus is None:
         modulus = lcm(4, p)
-    step = modulus // p
-    return tuple(root(modulus, e * step) for e in _dot_table(p, k - 1)[row])
+    dots = next(_pairing_rows(p, k - 1, index_point(p, k - 1, row)))
+    return tuple(root(modulus, e * (modulus // p)) for e in dots)
 
 
 @lru_cache(maxsize=16)

@@ -31,7 +31,7 @@ from .gbfunc import (
     FunctionDoc,
     PAryFunction,
     _checked_vector,
-    _dot_table,
+    _pairing_rows,
     _json_object,
     _Record,
     _require_int,
@@ -98,14 +98,14 @@ def build_maiorana(spec: MaioranaSpec) -> ComponentTuple:
     vector beta y, and an affine digit is the constant c + w.y.
     """
     p, m, n = spec.p, spec.m, spec.n
-    dots = _dot_table(p, m)
+    rows = list(_pairing_rows(p, m))
     f0 = chain.from_iterable(
-        dots[point_index(p, [b * yi % p for b, yi in zip(spec.beta, y)])]
+        rows[point_index(p, [b * yi % p for b, yi in zip(spec.beta, y)])]
         for y in all_points(p, m)
     )
     comps = [PAryFunction(p, n, tuple(f0))]
     for aff in spec.affines:
-        values = ((aff.c + d) % p for d in dots[point_index(p, aff.w)])
+        values = ((aff.c + d) % p for d in rows[point_index(p, aff.w)])
         table = chain.from_iterable(repeat(v, p**m) for v in values)
         comps.append(PAryFunction(p, n, tuple(table)))
     return ComponentTuple(p, n, spec.q, tuple(comps))

@@ -19,11 +19,12 @@ on construction by their __post_init__.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import lcm
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclotomic import _check_modulus, is_prime
 from .errors import FunctionFormatError
@@ -56,22 +57,65 @@ def all_points(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
-def _dot_table(p: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """[u][x] -> u.x mod p by point index: the one pairing table of Z_p^n,
-    and the exponents of H_p tensor ... tensor H_p (n factors).
+def _spread_tables(p: int, s: int) -> tuple[list[bytes], list[bytes]]:
+    """Tables that append s digits to a pairing row, p^(s+1) <= 256, with
+    P = p^s: blocks[t] holds the codes t P + r, r in [0, P), and steps[v],
+    for v in Z_p^s by rank, is the bytes.translate table that maps code
+    t P + r to (t + v.z) mod p, z the point of rank r.
 
-    Built one coordinate at a time, big-endian: appending digit d to u and
-    e to x multiplies both indexes by p and adds d e, so entry t spreads
-    to the p entries blocks[d][t]."""
-    blocks = [[tuple((t + d * e) % p for e in range(p)) for t in range(p)] for d in range(p)]
-    table: tuple[tuple[int, ...], ...] = ((0,),)
-    for _ in range(n):
-        table = tuple(
-            tuple(chain.from_iterable(map(spread.__getitem__, old)))
-            for old in table
-            for spread in blocks
-        )
-    return table
+    steps[v] is row v of the pairing of Z_p^s shifted by each t in turn;
+    those rows append one digit at a time, by the tables at s = 1."""
+    shifts = [(bytes(range(t, p)) + bytes(range(t))).ljust(256, b"\0") for t in range(p)]
+    rows = [bytes(d * e % p for e in range(p)) for d in range(p)]
+    for _ in range(s - 1):
+        one, ones = _spread_tables(p, 1)
+        rows = [b"".join(map(one.__getitem__, row)).translate(t) for row in rows for t in ones]
+    size = p**s
+    blocks = [bytes(range(t * size, t * size + size)) for t in range(p)]
+    steps = [b"".join(row.translate(shift) for shift in shifts).ljust(256, b"\0") for row in rows]
+    return blocks, steps
+
+
+def _pairing_rows(p: int, n: int, lead: Sequence[int] = ()) -> Iterator[Sequence[int]]:
+    """Row u of the pairing of Z_p^n (entry x is u.x mod p, the exponents of
+    H_p tensor ... tensor H_p) for each u with leading digits lead, all in
+    point-index order; entries take one byte, or two when p > 255.
+
+    The rows are not cached, and the walk is depth first: appending digits
+    v to u and z to x, s of each, multiplies both indexes by p^s and adds
+    v.z, so row (u, v) spreads each entry t of row u to the p^s entries
+    (t + v.z) mod p. The walk holds O(n p^n) entries, never p^(2n). While
+    p^(s+1) <= 256 a row is spread once to the codes t p^s + r, and each
+    of its children is one translate of that; the first step takes the
+    digits left over. Past p = 15 each step takes one digit, entry by entry.
+    """
+    most = 1
+    while p ** (most + 2) <= 256:
+        most += 1
+    if p * p <= 256:
+
+        def children(row: Sequence[int], s: int, vs: range) -> Iterator[Sequence[int]]:
+            blocks, steps = _spread_tables(p, s)
+            spread = b"".join(map(blocks.__getitem__, row))
+            return map(spread.translate, map(steps.__getitem__, vs))
+    else:
+        typecode = "B" if p < 256 else "H"
+
+        def children(row: Sequence[int], s: int, vs: range) -> Iterator[Sequence[int]]:
+            return (array(typecode, [(t + d * e) % p for t in row for e in range(p)]) for d in vs)
+
+    def level(rows: Iterator[Sequence[int]], s: int, vs: range) -> Iterator[Sequence[int]]:
+        for row in rows:
+            yield from children(row, s, vs)
+
+    rows: Iterator[Sequence[int]] = iter([b"\0"])
+    done = 0
+    for s in [n % most] * (n % most > 0) + [most] * (n // most):
+        fixed = lead[done : done + s]
+        span = p ** (s - len(fixed))
+        first = point_index(p, fixed) * span
+        rows, done = level(rows, s, range(first, first + span)), done + s
+    return rows
 
 
 def smallest_exponent(p: int, q: int) -> int:

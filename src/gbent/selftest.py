@@ -13,7 +13,7 @@ from typing import Callable
 
 from .construct import compare_reference_tables, enumerate_pary_bent
 from .cyclotomic import CycInt, gauss_sqrt, root
-from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, _dot_table, all_points,
+from .gbfunc import (ComponentTuple, GBFunction, PAryFunction, _pairing_rows, all_points,
                      compose, smallest_exponent)
 from .transform import (
     gamma_general,
@@ -90,7 +90,7 @@ def check_root_reconstruction() -> None:
         step_p = modulus // p
         step_pk = modulus // p**k
         gammas = [gamma_product(p, k, a) for a in all_points(p, k - 1)]
-        for e, dots in enumerate(_dot_table(p, k - 1)):
+        for e, dots in enumerate(_pairing_rows(p, k - 1)):
             acc = CycInt.zero(modulus)
             for gamma, dot in zip(gammas, dots):
                 acc = acc + root(modulus, dot * step_p) * gamma

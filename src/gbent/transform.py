@@ -29,10 +29,10 @@ One engine computes every spectrum, and two independent paths check it:
                       term is a q-th root of unity, so x gets its p
                       exponents (f(x) - (q/p) d) mod q once, and S(u)
                       counts its terms over the q exponents of zeta_q,
-                      picking d = u.x mod p off gbfunc._dot_table, the one
-                      pairing table, as gamma_general and classify's
-                      Hadamard rows do. It shares only the ring's
-                      canonicalization with the engine.
+                      picking d = u.x mod p off gbfunc._pairing_rows, one
+                      row at a time in O(n p^n) memory, as gamma_general
+                      and classify's Hadamard rows do. It shares only the
+                      ring's canonicalization with the engine.
   * wht_composed    - the paper's composition identity
                       S_f = (1/C) sum_a gamma_a S_a over the C = p^(k-1)
                       digit combinations, through the carry coefficients
@@ -113,10 +113,9 @@ from .gbfunc import (
     PAryFunction,
     _checked_vector,
     _digit_sum,
-    _dot_table,
+    _pairing_rows,
     _Record,
     all_points,
-    point_index,
 )
 
 
@@ -158,8 +157,9 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
     The trusted oracle: O(p^(2n)), and independent of the engine's
     butterfly; only the canonicalization is shared. Each x gets its p
     exponents (f(x) - (q/p) d) mod q of zeta_q once, and S(u) counts its
-    terms over the q exponents, picking d = u.x mod p. It always runs in
-    this process: jobs must be >= 1 and has no other effect.
+    terms over the q exponents, picking d = u.x mod p off row u of the
+    pairing. It always runs in this process: jobs must be >= 1 and has no
+    other effect.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -169,7 +169,7 @@ def wht_naive(f: GBFunction, jobs: int = 1) -> Spectrum:
     exps = [tuple((v - d * shift) % q for d in range(p)) for v in range(q)]
     rows = [exps[v] for v in f.table]
     values = []
-    for dots in _dot_table(p, n):
+    for dots in _pairing_rows(p, n):
         counts = [0] * q
         for e in map(getitem, rows, dots):
             counts[e] += 1
@@ -473,7 +473,7 @@ def gamma_general(p: int, k: int, q: int, a: Sequence[int]) -> CycInt:
     modulus = lcm(4, q)
     shift = q // p
     counts = [0] * q
-    for rank, dot in enumerate(_dot_table(p, k - 1)[point_index(p, a)]):
+    for rank, dot in enumerate(next(_pairing_rows(p, k - 1, a))):
         counts[(rank - dot * shift) % q] += 1
     return _counts_to_cycint(modulus, counts, modulus // q)
 

@@ -140,7 +140,9 @@ def _product_candidates(p, n, q, modulus):
 
 
 @pytest.mark.parametrize(
-    "p,n,q", [(5, 4, 125), (7, 3, 49), (3, 5, 81), (3, 4, 21), (3, 5, 24), (3, 4, 12)]
+    "p,n,q",
+    [(5, 4, 125), (7, 3, 49), (3, 5, 81), (3, 4, 21), (3, 5, 24), (3, 4, 12),
+     (5, 3, 125), (3, 4, 105)],
 )
 def test_unit_candidates_by_rotation_equal_products(p, n, q):
     modulus = lcm(4, q)

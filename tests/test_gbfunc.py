@@ -20,7 +20,7 @@ from gbent import (
     parse_function_text,
     point_index,
 )
-from gbent.gbfunc import _dot_table
+from gbent.gbfunc import _pairing_rows
 from conftest import random_tuple
 
 
@@ -53,13 +53,40 @@ def test_all_points_cache_is_bounded():
     assert all_points.cache_info().misses == misses + 1
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2),
+     (3, 5), (5, 3), (13, 2), (17, 2), (257, 1)],
+)
 def test_dot_table_is_the_pairing(p, n):
     points = all_points(p, n)
-    table = _dot_table(p, n)
+    table = list(_pairing_rows(p, n))
     assert len(table) == p**n
     for u, row in zip(points, table):
-        assert row == tuple(sum(ui * xi for ui, xi in zip(u, x)) % p for x in points)
+        assert tuple(row) == tuple(sum(ui * xi for ui, xi in zip(u, x)) % p for x in points)
+
+
+@pytest.mark.parametrize("u", [(0, 0), (0, 1), (1, 0), (2, 255), (256, 256)])
+def test_pairing_row_past_one_byte(u):
+    # At p = 257 an entry can be 256, so rows hold two-byte entries. Each
+    # row of Z_257^2 is read alone, by all its digits as the lead.
+    p = 257
+    (row,) = _pairing_rows(p, 2, u)
+    assert memoryview(row).itemsize == 2
+    assert tuple(row) == tuple((u[0] * x[0] + u[1] * x[1]) % p for x in all_points(p, 2))
+
+
+@pytest.mark.parametrize(
+    "p,n,lead",
+    [(3, 2, ()), (3, 3, (1,)), (3, 3, (2, 0)), (3, 5, (2,)), (3, 5, (1, 2, 0)), (5, 2, (4,)),
+     (5, 3, (4, 1)), (7, 2, (3, 6)), (17, 2, (5,))],
+)
+def test_pairing_rows_under_a_lead(p, n, lead):
+    # The rows whose leading digits are lead are that slice of all the rows,
+    # also where lead ends inside a step of several digits.
+    full = list(map(tuple, _pairing_rows(p, n)))
+    start = point_index(p, lead) * p ** (n - len(lead))
+    assert list(map(tuple, _pairing_rows(p, n, lead))) == full[start : start + p ** (n - len(lead))]
 
 
 def test_point_index_rejects_bad_coordinate():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +35,7 @@ from gbent import (
 )
 from gbent import transform
 from gbent.cyclotomic import _pack_slots, _slot_counts
-from gbent.gbfunc import _dot_table, smallest_exponent
+from gbent.gbfunc import smallest_exponent
 from gbent.transform import (
     _coset_key,
     _count_butterfly,
@@ -130,6 +134,27 @@ def test_naive_oracle_runs_no_engine(monkeypatch, rng):
         wht_fast(cases[0])
 
 
+def test_naive_oracle_runs_in_linear_memory():
+    # The oracle holds one pairing row at a time, O(n p^n) entries. At p=3
+    # n=6 a table of all p^(2n) pairings, 729 tuples of 729 entries, would
+    # take about 4.3 MB on its own; the whole call peaks under 1.5 MB. A
+    # fresh process, so no cache filled by another test counts either way.
+    code = (
+        "import random, tracemalloc\n"
+        "from gbent import GBFunction, wht_naive\n"
+        "rng = random.Random(1)\n"
+        "f = GBFunction(3, 6, 9, tuple(rng.randrange(9) for _ in range(729)))\n"
+        "tracemalloc.start()\n"
+        "wht_naive(f)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stderr == ""
+    assert int(done.stdout) < 1.5 * 2**20
+
+
 def test_fast_constant_zero():
     s = wht_pary_fast(PAryFunction(3, 2, (0,) * 9))
     assert s.values[0] == 9
@@ -226,13 +251,15 @@ def test_engine_equals_naive_oracle_structured(rng, case):
 def _direct_sum(p, n, slots, nbytes, vals, sign):
     """sum_y zeta_p^(sign x.y) vals[y] at every point x of Z_p^n, slot by
     slot in Z[Z_slots]: each of y's counts moves up (sign x.y mod p) slots/p
-    slots."""
+    slots. x.y comes from the coordinates, so no pairing code is shared
+    with the naive oracle."""
     counts = [_slot_counts(v, slots, nbytes) for v in vals]
+    points = all_points(p, n)
     out = []
-    for dots in _dot_table(p, n):
+    for x in points:
         acc = [0] * slots
-        for vec, d in zip(counts, dots):
-            shift = (sign * d % p) * (slots // p)
+        for vec, y in zip(counts, points):
+            shift = (sign * sum(a * b for a, b in zip(x, y)) % p) * (slots // p)
             for e, c in enumerate(vec):
                 acc[(e + shift) % slots] += c
         out.append(_pack_slots(acc, nbytes))
