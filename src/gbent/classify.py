@@ -52,18 +52,7 @@ from .gbfunc import (
     index_point,
     point_index,
 )
-from .transform import (
-    Spectrum,
-    _coset_key,
-    _count_butterfly,
-    _digit_spectra,
-    _distinct,
-    _per_distinct,
-    _root_weights,
-    _spectrum_reader,
-    _spread,
-    wht_fast,
-)
+from .transform import Spectrum, _coset_key, _distinct, _engine, _per_distinct, _spread, wht_fast
 
 ALPHAS = ("+1", "-1", "+i", "-i")
 _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -330,25 +319,18 @@ RowTable = tuple[Optional[RowDecomp], ...]
 
 def _packed_pass(source: GBFunction | ComponentTuple):
     """One butterfly over a component tuple's p^k digit slots or a table's q
-    slots, indexed once: each point's position among the distinct packed
-    elements, their SpectralForm and RowDecomp lists by coset key over p^k
-    slots (None, None otherwise), and a reader of their spectral values."""
-    p, n, q, k = source.p, source.n, source.q, source.k
-    if isinstance(source, ComponentTuple):
-        slots, (packed, nbytes) = p**k, _digit_spectra(source)
-    else:
-        slots, (packed, nbytes) = q, _count_butterfly(p, n, q, source.table)
+    slots (transform._engine), indexed once: each point's position among the
+    distinct packed elements, their SpectralForm and RowDecomp lists by coset
+    key over p^k slots (None, None otherwise), and a reader of their
+    spectral values."""
+    p, n, k = source.p, source.n, source.k
+    slots, packed, nbytes, read = _engine(source)
     distinct, positions = _distinct(packed)
     forms = rows = None
     if slots == p**k:
         keys = list(map(_coset_key(p, slots, nbytes), distinct))
         forms, rows = (list(map(table.get, keys)) for table in _candidate_keys(p, n, k, nbytes))
-
-    def values() -> list[CycInt]:
-        weights = _root_weights(p, q, lcm(4, q), slots)
-        return list(map(_spectrum_reader(p, n, weights, nbytes), distinct))
-
-    return positions, forms, rows, values
+    return positions, forms, rows, lambda: list(map(read, distinct))
 
 
 def component_row_table(t: ComponentTuple) -> RowTable:

@@ -57,6 +57,16 @@ def all_points(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=16)
+def _digit_tables(p: int) -> tuple[list[bytes], list[bytes]]:
+    """For p < 256, the rows of the pairing of Z_p (rows[d] holds d z mod p
+    over z) and the bytes.translate tables shifts[t] that map each code
+    c < p to (c + t) mod p."""
+    rows = [bytes(d * z % p for z in range(p)) for d in range(p)]
+    shifts = [(bytes(range(t, p)) + bytes(range(t))).ljust(256, b"\0") for t in range(p)]
+    return rows, shifts
+
+
+@lru_cache(maxsize=16)
 def _spread_tables(p: int, s: int) -> tuple[list[bytes], list[bytes]]:
     """Tables that append s digits to a pairing row, p^(s+1) <= 256, with
     P = p^s: blocks[t] holds the codes t P + r, r in [0, P), and steps[v],
@@ -65,14 +75,13 @@ def _spread_tables(p: int, s: int) -> tuple[list[bytes], list[bytes]]:
 
     steps[v] is row v of the pairing of Z_p^s shifted by each t in turn;
     those rows append one digit at a time, by the tables at s = 1."""
-    shifts = [(bytes(range(t, p)) + bytes(range(t))).ljust(256, b"\0") for t in range(p)]
-    rows = [bytes(d * e % p for e in range(p)) for d in range(p)]
+    rows, shifts = _digit_tables(p)
     for _ in range(s - 1):
         one, ones = _spread_tables(p, 1)
         rows = [b"".join(map(one.__getitem__, row)).translate(t) for row in rows for t in ones]
     size = p**s
     blocks = [bytes(range(t * size, t * size + size)) for t in range(p)]
-    steps = [b"".join(row.translate(shift) for shift in shifts).ljust(256, b"\0") for row in rows]
+    steps = [b"".join(map(row.translate, shifts)).ljust(256, b"\0") for row in rows]
     return blocks, steps
 
 
@@ -87,7 +96,10 @@ def _pairing_rows(p: int, n: int, lead: Sequence[int] = ()) -> Iterator[Sequence
     (t + v.z) mod p. The walk holds O(n p^n) entries, never p^(2n). While
     p^(s+1) <= 256 a row is spread once to the codes t p^s + r, and each
     of its children is one translate of that; the first step takes the
-    digits left over. Past p = 15 each step takes one digit, entry by entry.
+    digits left over. Past p = 15 each step takes one digit: column z of
+    child d is the row shifted by d z, so below p = 256 a child is p
+    strided slice assignments of the row's p shifted copies, and the
+    root's children are the rows of Z_p; past p = 255, entry by entry.
     """
     most = 1
     while p ** (most + 2) <= 256:
@@ -98,11 +110,24 @@ def _pairing_rows(p: int, n: int, lead: Sequence[int] = ()) -> Iterator[Sequence
             blocks, steps = _spread_tables(p, s)
             spread = b"".join(map(blocks.__getitem__, row))
             return map(spread.translate, map(steps.__getitem__, vs))
-    else:
-        typecode = "B" if p < 256 else "H"
+    elif p < 256:
 
         def children(row: Sequence[int], s: int, vs: range) -> Iterator[Sequence[int]]:
-            return (array(typecode, [(t + d * e) % p for t in row for e in range(p)]) for d in vs)
+            ones, shifts = _digit_tables(p)
+            if len(row) == 1:  # the root
+                yield from map(ones.__getitem__, vs)
+                return
+            # bytearray copies: a slice takes a bytes value only through a copy.
+            shifted = list(map(bytearray(row).translate, shifts))
+            for d in vs:
+                child = bytearray(len(row) * p)
+                for z in range(p):
+                    child[z::p] = shifted[d * z % p]
+                yield child
+    else:
+
+        def children(row: Sequence[int], s: int, vs: range) -> Iterator[Sequence[int]]:
+            return (array("H", [(t + d * e) % p for t in row for e in range(p)]) for d in vs)
 
     def level(rows: Iterator[Sequence[int]], s: int, vs: range) -> Iterator[Sequence[int]]:
         for row in rows:

@@ -19,9 +19,8 @@ One engine computes every spectrum, and two independent paths check it:
                       t p^(n-1) + i, which leaves the points in index order
                       after the last pass. Within a pass, groups with equal
                       inputs are computed once and share their outputs;
-                      structured inputs repeat many. The slot map's weights
-                      (below) then read each distinct element into
-                      Z[zeta_M].
+                      structured inputs repeat many. The slot map (below)
+                      then reads each distinct element into Z[zeta_M].
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
@@ -43,14 +42,14 @@ A component tuple runs the same butterfly over p^k digit slots
 (f_0(x), ..., f_(k-1)(x)), and since zeta_p moves only the leading digit,
 slot v_0 C + r at u (C = p^(k-1)) counts the x with f_0(x) - u.x = v_0
 mod p whose lower digits have rank r. At q = p^k the rank of f(x)'s digits
-is f(x), so a table's butterfly over q slots is this same list. One reader,
-_fast_spectrum, turns either layout into values: sum_e count_e weight_e at
-each distinct element. The slot map is a table of such weights
-(_root_weights): slot v_0 C + r, C = slots/p, weighs
-zeta_q^(((q/p) v_0 + r) mod q), compose's value of those digits.
-wht_composed reads the digit slots with the carry weights zeta_p^(v_0) w_r,
-w_r the inverse_wht of the gamma table at r (_gamma_weights), which equal
-the roots by the root-reconstruction identity w_r = zeta_q^r.
+is f(x), so a table's butterfly over q slots is this same list. One reader
+(_engine) turns either layout into values, as wht_naive reads its counts:
+slot v_0 C + r, C = slots/p, stands for zeta_q^(((q/p) v_0 + r) mod q),
+compose's value of those digits (_slot_exponents), and each distinct
+element's nonzero counts are reduced sparsely at those exponents.
+wht_composed reads the digit slots so once _gamma_weights has checked the
+carry weights zeta_p^(v_0) w_r, w_r the inverse_wht of the gamma table at
+r, to be those roots: the root-reconstruction identity w_r = zeta_q^r.
 
 Over p^k slots the packed element itself names its ring element: the
 kernel of Z[Z_(p^k)] -> Z[zeta_(p^k)] is the elements constant on every
@@ -89,9 +88,8 @@ does not hold, see inverse_wht).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import lcm
-from operator import getitem, lshift, mul
+from operator import getitem, lshift
 from typing import Callable, Optional, Sequence
 
 from .cyclotomic import (
@@ -103,7 +101,6 @@ from .cyclotomic import (
     _reduce_terms,
     _slot_bytes,
     _slot_counts,
-    _unpack_signed,
     root,
 )
 from .errors import ExactDivisionError, InternalConsistencyError
@@ -325,41 +322,13 @@ def _spread(done: Sequence, positions: Sequence[int]) -> tuple:
     return tuple(map(done.__getitem__, positions))
 
 
-def _spectrum_reader(
-    p: int, n: int, weights: Sequence[CycInt], nbytes: int
-) -> Callable[[int], CycInt]:
-    """The reader of packed butterfly output over len(weights) slots:
-    sum_e count_e weights[e], in the weights' ring.
-
-    The weights are Kronecker-packed once, by _pack_signed. The slot counts
-    of one element sum to p^n, so slots above 2 p^n max|coefficient| hold
-    the sum, which is one linear combination of bigints, unpacked once.
-    """
-    modulus, degree = weights[0].modulus, len(weights[0].coeffs)
-    wbytes = _slot_bytes(2 * p**n * max(max(map(abs, w.coeffs)) for w in weights))
-    packs = [_pack_signed(w.coeffs, wbytes) for w in weights]
-
-    def value(v: int) -> CycInt:
-        total = sum(map(mul, _slot_counts(v, len(packs), nbytes), packs))
-        return CycInt(modulus, _unpack_signed(total, degree, wbytes))
-
-    return value
-
-
-def _fast_spectrum(
-    p: int, n: int, q: int, weights: Sequence[CycInt], packed: Sequence[int], nbytes: int
-) -> Spectrum:
-    """The spectrum of packed butterfly output, read once per distinct element."""
-    read = _spectrum_reader(p, n, weights, nbytes)
-    return Spectrum(p, n, q, weights[0].modulus, _per_distinct(packed, read))
-
-
 @lru_cache(maxsize=32)
-def _root_weights(p: int, q: int, modulus: int, slots: int) -> tuple[CycInt, ...]:
-    """The slot map as weights: slot v_0 C + r, C = slots/p, stands for
-    zeta_q^(((q/p) v_0 + r) mod q) in Z[zeta_modulus]."""
-    exps = [((q // p) * v + r) % q for v in range(p) for r in range(slots // p)]
-    return tuple(root(modulus, e * (modulus // q)) for e in exps)
+def _slot_exponents(p: int, q: int, modulus: int, slots: int) -> tuple[int, ...]:
+    """The slot map in Z_modulus: slot v_0 C + r, C = slots/p, stands for
+    zeta_q^(((q/p) v_0 + r) mod q), and entry v_0 C + r is that root's
+    exponent as a power of zeta_modulus."""
+    step = modulus // q
+    return tuple(((q // p) * v + r) % q * step for v in range(p) for r in range(slots // p))
 
 
 def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
@@ -371,14 +340,44 @@ def _digit_spectra(t: ComponentTuple) -> tuple[list[int], int]:
     return _count_butterfly(t.p, t.n, t.p**t.k, ranks)
 
 
+def _engine(
+    source: GBFunction | ComponentTuple, modulus: Optional[int] = None
+) -> tuple[int, list[int], int, Callable[[int], CycInt]]:
+    """The engine's butterfly on a table, over its q slots, or on a component
+    tuple, over its p^k digit slots: the slot count, the packed elements in
+    point-index order, the slot bytes, and their reader into Z[zeta_M],
+    M = modulus or lcm(4, q). The reader reduces each nonzero slot count at
+    its slot-map exponent (_slot_exponents), as wht_naive reduces its
+    counts, and builds the ring's tables only at its first read."""
+    p, q = source.p, source.q
+    modulus = modulus or lcm(4, q)
+    if isinstance(source, ComponentTuple):
+        slots, (packed, nbytes) = p**source.k, _digit_spectra(source)
+    else:
+        slots, (packed, nbytes) = q, _count_butterfly(p, source.n, q, source.table)
+
+    def read(v: int) -> CycInt:
+        terms = zip(_slot_exponents(p, q, modulus, slots), _slot_counts(v, slots, nbytes))
+        return CycInt(modulus, _reduce_terms(_context(modulus), terms))
+
+    return slots, packed, nbytes, read
+
+
+def _fast_spectrum(source: GBFunction | ComponentTuple, modulus: Optional[int] = None) -> Spectrum:
+    """The engine's spectrum of source, read once per distinct packed element."""
+    modulus = modulus or lcm(4, source.q)
+    _, packed, _, read = _engine(source, modulus)
+    return Spectrum(source.p, source.n, source.q, modulus, _per_distinct(packed, read))
+
+
 def wht_fast(f: GBFunction) -> Spectrum:
     """The spectrum of any function Z_p^n -> Z_q by the packed butterfly.
 
-    O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one weighted sum
-    of the slot counts per distinct value. Agrees entrywise with wht_naive.
+    O(n p^(n+1)) bigint shift-adds on (q b)-bit ints, then one sparse
+    reduction of the nonzero slot counts per distinct value. Agrees
+    entrywise with wht_naive.
     """
-    weights = _root_weights(f.p, f.q, lcm(4, f.q), f.q)
-    return _fast_spectrum(f.p, f.n, f.q, weights, *_count_butterfly(f.p, f.n, f.q, f.table))
+    return _fast_spectrum(f)
 
 
 def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
@@ -389,12 +388,9 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
     receive the values already embedded in a larger working ring.
     """
     base = lcm(4, g.p)
-    if modulus is None:
-        modulus = base
-    elif modulus < 1 or modulus % base != 0:
+    if modulus is not None and (modulus < 1 or modulus % base != 0):
         raise ValueError(f"modulus {modulus} is not a positive multiple of {base}")
-    weights = _root_weights(g.p, g.p, modulus, g.p)
-    return _fast_spectrum(g.p, g.n, g.p, weights, *_count_butterfly(g.p, g.n, g.p, g.table))
+    return _fast_spectrum(g.as_gbfunction(), modulus)
 
 
 def inverse_wht(s: Spectrum) -> tuple[CycInt, ...]:
@@ -501,9 +497,11 @@ def _gamma_weights(p: int, k: int, q: int) -> tuple[CycInt, ...]:
     """zeta_p^(v_0) w_r for every digit slot v_0 C + r of _digit_spectra.
 
     w_r = (1/C) sum_a zeta_p^(a.v') gamma_a, with v' the digits of rank r,
-    is inverse_wht of the gamma table over Z_p^(k-1); a remainder in its
-    division by C means the gamma table is wrong. Each weight is the
-    rotation of w_r by v_0 M/p (CycInt.rotate).
+    is inverse_wht of the gamma table over Z_p^(k-1). Each weight is the
+    rotation of w_r by v_0 M/p (CycInt.rotate), and is its slot's root
+    (_slot_exponents) exactly when the composition identity holds. A
+    remainder in the division by C, or a weight off its root, means the
+    gamma table is wrong: InternalConsistencyError.
     """
     modulus = lcm(4, q)
     step = modulus // p
@@ -514,7 +512,12 @@ def _gamma_weights(p: int, k: int, q: int) -> tuple[CycInt, ...]:
         raise InternalConsistencyError(
             f"gamma table not divisible by p^(k-1): {e}"
         ) from None
-    return tuple(w.rotate(e * step) for e in range(p) for w in rows)
+    weights = tuple(w.rotate(e * step) for e in range(p) for w in rows)
+    if weights != tuple(root(modulus, e) for e in _slot_exponents(p, q, modulus, p**k)):
+        raise InternalConsistencyError(
+            f"carry weights at p={p}, k={k}, q={q} are not the slot map's roots"
+        )
+    return weights
 
 
 def wht_composed(t: ComponentTuple) -> Spectrum:
@@ -524,11 +527,12 @@ def wht_composed(t: ComponentTuple) -> Spectrum:
     S_a is the spectrum of the combination f_0 + sum a_i f_i and
     C = p^(k-1). Expanding each S_a over the digit counts of _digit_spectra
     and summing over a first gives S_f(u) = sum over slots v_0 C + r of the
-    count times zeta_p^(v_0) w_r (_gamma_weights), which _fast_spectrum
-    reads as it reads the slot map's roots. Equal entrywise to
-    wht_naive(compose(t)).
+    count times zeta_p^(v_0) w_r, which _gamma_weights checks, once per
+    (p, k, q), to be the slot map's roots; so the sum is the engine's read
+    of the digit slots. Equal entrywise to wht_naive(compose(t)).
     """
-    return _fast_spectrum(t.p, t.n, t.q, _gamma_weights(t.p, t.k, t.q), *_digit_spectra(t))
+    _gamma_weights(t.p, t.k, t.q)
+    return _fast_spectrum(t)
 
 
 # -- spectrum dump format ------------------------------------------------------

@@ -463,14 +463,14 @@ def test_analyze_at_prime_power_keys_once_per_distinct_element(monkeypatch, tupl
     distinct = set(transform._digit_spectra(tuple_q27)[0])
     keys = _count_key_calls(monkeypatch)
     reads = []
-    reader = classify._spectrum_reader
+    engine = classify._engine
 
-    def counted_reader(*args):
-        read = reader(*args)
-        return lambda v: reads.append(v) or read(v)
+    def counted_engine(*args):
+        *head, read = engine(*args)
+        return (*head, lambda v: reads.append(v) or read(v))
 
     indexes = _count_calls(monkeypatch, classify, "_distinct")
-    monkeypatch.setattr(classify, "_spectrum_reader", counted_reader)
+    monkeypatch.setattr(classify, "_engine", counted_engine)
     for name in ("_per_distinct", "_unit_candidates", "_norm_test"):
         monkeypatch.setattr(classify, name, _refuse)
     monkeypatch.setattr(CycInt, "norm_sq", _refuse)
@@ -575,7 +575,8 @@ def test_certificate_reads_no_values(monkeypatch, rng, tuple_q21):
     other = build_maiorana(random_spec(rng, 3, 2, 21))
     expected = [weak_regularity_certificate(t) for t in (tuple_q21, other)]
     classify._candidate_keys.cache_clear()
-    monkeypatch.setattr(classify, "_spectrum_reader", _refuse)
+    engine = classify._engine
+    monkeypatch.setattr(classify, "_engine", lambda source: (*engine(source)[:3], _refuse))
     monkeypatch.setattr(CycInt, "__mul__", counted)
     monkeypatch.setattr(CycInt, "__rmul__", counted)
     assert [weak_regularity_certificate(t) for t in (tuple_q21, other)] == expected

@@ -56,7 +56,7 @@ def test_all_points_cache_is_bounded():
 @pytest.mark.parametrize(
     "p,n",
     [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2),
-     (3, 5), (5, 3), (13, 2), (17, 2), (257, 1)],
+     (3, 5), (5, 3), (13, 2), (17, 2), (31, 2), (257, 1)],
 )
 def test_dot_table_is_the_pairing(p, n):
     points = all_points(p, n)

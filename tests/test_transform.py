@@ -15,6 +15,7 @@ from gbent import (
     ExactDivisionError,
     FunctionDoc,
     GBFunction,
+    InternalConsistencyError,
     PAryFunction,
     Spectrum,
     all_points,
@@ -33,7 +34,7 @@ from gbent import (
     wht_naive,
     wht_pary_fast,
 )
-from gbent import transform
+from gbent import cyclotomic, transform
 from gbent.cyclotomic import _pack_slots, _slot_counts
 from gbent.gbfunc import smallest_exponent
 from gbent.transform import (
@@ -44,8 +45,8 @@ from gbent.transform import (
     _fast_spectrum,
     _gamma_weights,
     _group_ring_butterfly,
-    _root_weights,
     _slot_bytes,
+    _slot_exponents,
 )
 from conftest import (
     all_slices,
@@ -113,8 +114,9 @@ def test_naive_equals_direct_root_sum(p, n, q):
 
 def test_naive_oracle_runs_no_engine(monkeypatch, rng):
     # The oracle and the carry sums must not reach the butterfly or the
-    # engine's reader, or engine-vs-naive tests would compare a path with
-    # itself.
+    # engine's slot map, or engine-vs-naive tests would compare a path with
+    # itself. They share only the ring's sparse reduction, which
+    # test_counts_to_cycint_matches_sympy checks against sympy.
     cases = [random_gbfunction(rng, p, n, q) for p, n, q in ((3, 3, 27), (3, 2, 21), (5, 2, 25))]
     spectra = [wht_fast(f).values for f in cases]
     gammas = {(p, k, q): [gamma_product(p, k, a) for a in all_points(p, k - 1)]
@@ -124,7 +126,7 @@ def test_naive_oracle_runs_no_engine(monkeypatch, rng):
     def refuse(*args, **kwargs):
         raise AssertionError("the naive oracle reached the engine")
 
-    for name in ("_group_ring_butterfly", "_count_butterfly", "_spectrum_reader"):
+    for name in ("_group_ring_butterfly", "_count_butterfly", "_slot_exponents"):
         replace_everywhere(monkeypatch, getattr(transform, name), refuse)
     assert [wht_naive(f).values for f in cases] == spectra
     for (p, k, q), expected in gammas.items():
@@ -544,9 +546,11 @@ def test_spectrum_accepts_multiples_of_lcm_4_q():
 
 
 # (p, q): q = p, q = p^k, and general q with q/p even (6, 12, 14, 10) and
-# odd (15, 21, 35, 105).
+# odd (15, 21, 35, 105); then rings of hundreds of slots, M = 180, 500, 1372
+# and 2916 (WIDE_TARGETS).
+WIDE_TARGETS = [(3, 45), (5, 125), (7, 343), (3, 729)]
 SLOT_MAP_TARGETS = [(3, 3), (5, 5), (7, 7), (3, 9), (3, 27), (5, 25), (7, 49), (3, 6),
-                    (3, 12), (3, 15), (3, 21), (3, 105), (5, 10), (5, 35), (7, 14)]
+                    (3, 12), (3, 15), (3, 21), (3, 105), (5, 10), (5, 35), (7, 14)] + WIDE_TARGETS
 
 
 @pytest.mark.parametrize("p,q", SLOT_MAP_TARGETS)
@@ -561,14 +565,74 @@ def test_slot_map_spectrum_equals_naive_and_composed(rng, p, q):
     for t in tuples:
         f = compose(t)
         naive = wht_naive(f)
-        packed, nbytes = _digit_spectra(t)
-        weights = _root_weights(p, q, lcm(4, q), p**k)
-        assert _fast_spectrum(p, t.n, q, weights, packed, nbytes) == naive
+        assert _fast_spectrum(t) == naive
         assert wht_composed(t) == naive
         reg, _ = analyze(FunctionDoc(f, t))
         assert reg.gbent.spectrum == naive
         verdicts.append(bool(reg.gbent))
     assert verdicts == [False, False, True, True]
+
+
+def test_no_spectrum_read_packs_weights(monkeypatch, rng):
+    # The engine reads each packed element by sparse reduction at the slot
+    # map's exponents, as the oracle reads its counts: once the caches are
+    # warm (the gamma check runs inverse_wht, and the key tables multiply),
+    # no spectrum read packs a ring element, in rings of hundreds of slots.
+    cases, paries = [], []
+    for p, q in WIDE_TARGETS:
+        k = smallest_exponent(p, q)
+        for t in (random_tuple(rng, p, 2, q, k), build_maiorana(random_spec(rng, p, 1, q))):
+            f = compose(t)
+            cases.append((t, f, wht_naive(f)))
+            wht_composed(t)
+            analyze(FunctionDoc(f, t))
+            analyze(FunctionDoc(f, None))
+        g = random_pary(rng, p, 2)
+        naive = wht_naive(g.as_gbfunction()).values
+        for modulus in (4 * p, 12 * p):
+            paries.append((g, modulus, tuple(v.promote(modulus) for v in naive)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum read packed a ring element")
+
+    monkeypatch.setattr(cyclotomic, "_pack_signed", refuse)
+    monkeypatch.setattr(transform, "_pack_signed", refuse)
+    for t, f, naive in cases:
+        assert wht_fast(f) == naive
+        assert wht_composed(t) == naive
+        if f.is_prime_power:  # the norm test at general q multiplies dense values
+            for doc in (FunctionDoc(f, t), FunctionDoc(f, None)):
+                assert analyze(doc)[0].gbent.spectrum == naive
+    for g, modulus, naive in paries:
+        assert wht_pary_fast(g, modulus).values == naive
+
+
+@pytest.mark.parametrize("q", [27, 21])
+def test_composed_refuses_a_gamma_table_off_the_identity(monkeypatch, rng, q):
+    # p^(k-1) zeta_q added to one gamma entry still divides exactly by
+    # p^(k-1), so only the check that each carry weight is its slot's root
+    # tells the composition identity broken.
+    p, n, k = 3, 2, 3
+    t = random_tuple(rng, p, n, q, k)
+    honest = transform.gamma_general
+
+    def gamma_general(p, k, q, a):
+        value = honest(p, k, q, a)
+        if tuple(a) != (1, 0):
+            return value
+        return value + p ** (k - 1) * root(value.modulus, value.modulus // q)
+
+    monkeypatch.setattr(transform, "gamma_general", gamma_general)
+    transform.gamma_table.cache_clear()
+    transform._gamma_weights.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="not the slot map's roots"):
+            wht_composed(t)
+    finally:
+        monkeypatch.undo()
+        transform.gamma_table.cache_clear()
+        transform._gamma_weights.cache_clear()
+    assert wht_composed(t) == wht_naive(compose(t))
 
 
 # Prime-power rings with long blocks (M / rad(M) = 54, 50 and 98), and
@@ -824,8 +888,9 @@ WEIGHT_TARGETS += [(p, q) for q in (210, 245, 301) for p in (3, 5, 7) if q % p =
 
 def test_carry_weights_are_the_slot_map_roots():
     # zeta_p^(v_0) w_r = zeta_q^(((q/p) v_0 + r) mod q) slot for slot: the
-    # root-reconstruction identity, on which wht_composed and the engine
-    # share one reader.
+    # root-reconstruction identity, which _gamma_weights checks so that
+    # wht_composed may read the digit slots at the slot map's exponents.
     for p, q in WEIGHT_TARGETS:
         k = smallest_exponent(p, q)
-        assert _gamma_weights(p, k, q) == _root_weights(p, q, lcm(4, q), p**k), (p, q)
+        roots = tuple(root(lcm(4, q), e) for e in _slot_exponents(p, q, lcm(4, q), p**k))
+        assert _gamma_weights(p, k, q) == roots, (p, q)
