@@ -41,7 +41,7 @@ from math import lcm
 from operator import not_
 from typing import Callable, Optional, Sequence
 
-from .cyclotomic import CycInt, _context, _reduce_terms, root, sqrt_p_power
+from .cyclotomic import CycInt, _context, _reduce_terms, _require_roots, root, sqrt_p_power
 from .errors import InternalConsistencyError
 from .gbfunc import (
     ComponentTuple,
@@ -60,6 +60,7 @@ _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
 
 def alpha_element(alpha: str, modulus: int) -> CycInt:
     """The unit prefactor as a ring element (a power of zeta_4)."""
+    _require_roots(modulus, 4)
     return root(modulus, _ALPHA_QUARTER_TURNS[alpha] * (modulus // 4))
 
 
@@ -115,10 +116,21 @@ def _norm_test(p: int, n: int, modulus: int) -> Callable[[CycInt], bool]:
     return lambda v: v.norm_sq() == target
 
 
+def _spectrum_of(f: GBFunction, spectrum: Optional[Spectrum]) -> Spectrum:
+    """wht_fast(f) without a spectrum; a given one must be on f's (p, n, q)."""
+    if spectrum is None:
+        return wht_fast(f)
+    if (spectrum.p, spectrum.n, spectrum.q) != (f.p, f.n, f.q):
+        raise ValueError(
+            f"spectrum at (p, n, q) = ({spectrum.p}, {spectrum.n}, {spectrum.q}) "
+            f"given for a function at ({f.p}, {f.n}, {f.q})"
+        )
+    return spectrum
+
+
 def is_gbent(f: GBFunction, spectrum: Optional[Spectrum] = None) -> GbentReport:
     """True iff norm_sq(S_f(u)) = p^n at every point."""
-    if spectrum is None:
-        spectrum = wht_fast(f)
+    spectrum = _spectrum_of(f, spectrum)
     verdicts = _per_distinct(spectrum.values, _norm_test(f.p, f.n, spectrum.modulus))
     failures = _failures(f.p, f.n, verdicts)
     return GbentReport(not failures, failures, spectrum)
@@ -155,8 +167,7 @@ def spectral_form(
     q per-point failures are reported (the attainable prefactors there are
     not pinned down by {+1,-1,+i,-i}).
     """
-    if spectrum is None:
-        spectrum = wht_fast(f)
+    spectrum = _spectrum_of(f, spectrum)
     forms = _per_distinct(spectrum.values, _form_matcher(f, spectrum.modulus))
     return SpectralFormReport(forms, _failures(f.p, f.n, forms), spectrum)
 
@@ -240,6 +251,7 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
     if p**km1 != size:
         raise ValueError(f"vector length {size} is not a power of {p}")
     modulus = values[0].modulus
+    _require_roots(modulus, lcm(4, p))
     candidates = _unit_candidates(p, n, p, modulus)
     head = candidates.get(values[0])
     if head is None:
@@ -265,6 +277,7 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
         raise ValueError(f"row {row} out of range for H_{p}^(tensor {k - 1})")
     if modulus is None:
         modulus = lcm(4, p)
+    _require_roots(modulus, p)
     dots = next(_pairing_rows(p, k - 1, index_point(p, k - 1, row)))
     return tuple(root(modulus, e * (modulus // p)) for e in dots)
 

@@ -4,18 +4,21 @@ Subcommands:
 
   analyze    classify a function file (gbent / regular / weakly regular),
              with a per-point (alpha, j, r, dual) table when applicable;
-             exit 0 on gbent, 1 otherwise, 2 on input or output errors.
+             exit 0 on gbent, 1 otherwise.
   construct  build a function file from a construction spec file.
   tables     recompute the bundled reference row-decomposition tables and
              diff them against the golden files; exit 1 on any mismatch.
   spectrum   dump the exact spectrum of a function file.
   enumerate  run the desk-scale bent census / quadratic sweep.
-  selftest   run the built-in invariant suites.
+  selftest   run the built-in invariant suites; exit 1 if one fails.
 
-Output is written to --output (or stdout), byte-deterministic for a given
-input, format, and seed. On input errors, and when --output cannot be
-written, every subcommand exits 2 and writes nothing to stdout; the
-diagnostic goes to stderr.
+Every subcommand runs through main, which alone writes its output to
+--output (or stdout), byte-deterministic for a given input, format, and
+seed. Exit codes: 0 and 1 as above; 2 when an input or golden file cannot
+be read, the input lies outside what the command accepts, or --output
+cannot be written, with "<command>: <reason>" on stderr; 3 when the
+command itself fails, with the traceback on stderr. Nothing reaches stdout
+unless the command finished, so stdout is empty on every exit 2 and 3.
 """
 
 from __future__ import annotations
@@ -50,45 +53,18 @@ def _point_labels(p: int, n: int) -> list[str]:
     return labels
 
 
-def _lines_text(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def _write_output(command: str, text: str, path: Optional[str], code: int) -> int:
-    """Write text to path (stdout without one) and return code, or return 2
-    once a failure to write is reported on stderr."""
-    if not path:
-        sys.stdout.write(text)
-        return code
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"{command}: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-        return 2
-    return code
-
-
-def _load_input(command: str, load, path: str):
-    """load(path), or None once the error is reported on stderr."""
-    try:
-        return load(path)
-    except OSError as e:
-        print(f"{command}: cannot read {path}: {e}", file=sys.stderr)
-    except FunctionFormatError as e:
-        print(f"{command}: {path}: {e}", file=sys.stderr)
-    return None
+class _Refusal(Exception):
+    """Input a command cannot use; main prints "<command>: <reason>" and exits 2."""
 
 
 # -- analyze -------------------------------------------------------------------
 
 
-def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
+def cmd_analyze(args, doc: FunctionDoc) -> tuple[list[str], int]:
     f = doc.function
     reg, rows = analyze(doc)
     gb, forms = reg.gbent, reg.spectral
 
-    lines: list[str] = []
     source = "components" if doc.components is not None else "table"
     verdict = {
         "regular": "gbent, regular (alpha = +1)",
@@ -96,24 +72,21 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
         "not_weakly_regular": "gbent, not weakly regular",
         "not_gbent": "not gbent",
     }[reg.verdict]
-    if fmt == "text":
-        lines.append(
-            f"function: p={f.p} n={f.n} q={f.q} points={len(f.table)} source={source}"
-        )
-        lines.append(f"verdict: {verdict}")
+    if args.format == "text":
+        lines = [f"function: p={f.p} n={f.n} q={f.q} points={len(f.table)} source={source}",
+                 f"verdict: {verdict}"]
     else:
-        lines.append(f"function\tp={f.p}\tn={f.n}\tq={f.q}\tsource={source}")
-        lines.append(f"verdict\t{verdict}")
+        lines = [f"function\tp={f.p}\tn={f.n}\tq={f.q}\tsource={source}", f"verdict\t{verdict}"]
     if not gb:
         witnesses = " ".join(_fmt_point(u) for u in gb.failures)
         lines.append(f"failing points ({len(gb.failures)}): {witnesses}")
-        return lines, False
+        return lines, 1
     if forms.failures:
         witnesses = " ".join(_fmt_point(u) for u in forms.failures)
         lines.append(
             f"unmatched spectral values ({len(forms.failures)}): {witnesses}"
         )
-    if fmt == "text":
+    if args.format == "text":
         lines.append("per-point spectral data:")
     lines.append("point\talpha\tj\tr\tdual")
     labels = _point_labels(f.p, f.n)
@@ -121,32 +94,20 @@ def _analyze_lines(doc: FunctionDoc, fmt: str) -> tuple[list[str], bool]:
         alpha, dual = (form.alpha, form.dual) if form else ("-", "-")
         j, r = (d.j, d.row) if d else ("-", "-")
         lines.append(f"({label})\t{alpha}\t{j}\t{r}\t{dual}")
-    return lines, True
-
-
-def cmd_analyze(args) -> int:
-    doc = _load_input("analyze", load_function, args.input)
-    if doc is None:
-        return 2
-    lines, ok = _analyze_lines(doc, args.format)
-    return _write_output("analyze", _lines_text(lines), args.output, 0 if ok else 1)
+    return lines, 0
 
 
 # -- construct -------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
-    spec = _load_input("construct", load_construction, args.input)
-    if spec is None:
-        return 2
-    text = function_to_text(built_function_doc(spec))
-    return _write_output("construct", text, args.output, 0)
+def cmd_construct(args, spec) -> tuple[str, int]:
+    return function_to_text(built_function_doc(spec)), 0
 
 
 # -- tables ----------------------------------------------------------------------
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple[list[str], int]:
     lines: list[str] = []
     any_mismatch = False
     try:
@@ -174,29 +135,24 @@ def cmd_tables(args) -> int:
                     prefix = "" if d.alpha == "+1" else f"{d.alpha}*"
                     power = "" if d.j == 0 else f"z3^{d.j}*"
                     lines.append(f"{_fmt_point(u)}\t{prefix}{power}H9[{d.row}]")
-            summary = (
+            lines.append(
                 f"table {name}: {len(golden)} golden rows, "
                 f"{len(mismatches)} mismatches, {undecomposed} undecomposed points "
                 f"(row labeling: {labeling})"
             )
-            lines.append(summary)
             if mismatches or undecomposed:
                 any_mismatch = True
                 for u, expected, got in mismatches:
                     lines.append(f"  differs at {_fmt_point(u)}: golden={expected} computed={got}")
     except (OSError, FunctionFormatError) as e:
-        print(f"tables: {e}", file=sys.stderr)
-        return 2
-    return _write_output("tables", _lines_text(lines), args.output, 1 if any_mismatch else 0)
+        raise _Refusal(e) from None
+    return lines, 1 if any_mismatch else 0
 
 
 # -- spectrum --------------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
-    doc = _load_input("spectrum", load_function, args.input)
-    if doc is None:
-        return 2
+def cmd_spectrum(args, doc: FunctionDoc) -> tuple[list[str], int]:
     f = doc.function
     s = wht_fast(f)
     lines = []
@@ -211,45 +167,35 @@ def cmd_spectrum(args) -> int:
     else:
         for label, (_, text, norm) in records:
             lines.append(f"{label}\t{text}\t{norm}")
-    return _write_output("spectrum", _lines_text(lines), args.output, 0)
+    return lines, 0
 
 
 # -- enumerate -------------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[list[str], int]:
     p, n, q = args.p, args.n, args.q if args.q is not None else args.p
     if q != p:
-        print(f"enumerate: census runs at q = p only, got q={q}", file=sys.stderr)
-        return 2
-    lines = []
+        raise _Refusal(f"census runs at q = p only, got q={q}")
     if (p, n) == (3, 1):
-        census = enumerate_pary_bent(3, 1)
-        lines.append(f"{len(census)} bent / {3 ** 3} total")
-        for g in census:
-            lines.append(",".join(str(v) for v in g.table))
+        bent = enumerate_pary_bent(3, 1)
+        header = f"{len(bent)} bent / {3 ** 3} total"
     elif (p, n) == (3, 2):
         sweep = quadratic_sweep(3)
         bent = [g for g in sweep if is_gbent(g.as_gbfunction())]
-        lines.append(
-            f"{len(bent)} bent / {len(sweep)} tested (quadratic-plus-affine sweep)"
-        )
-        for g in bent:
-            lines.append(",".join(str(v) for v in g.table))
+        header = f"{len(bent)} bent / {len(sweep)} tested (quadratic-plus-affine sweep)"
     else:
-        print(
-            f"enumerate: supported envelopes are (p,n) = (3,1) census and "
-            f"(3,2) quadratic sweep; got ({p},{n})",
-            file=sys.stderr,
+        raise _Refusal(
+            f"supported envelopes are (p,n) = (3,1) census and "
+            f"(3,2) quadratic sweep; got ({p},{n})"
         )
-        return 2
-    return _write_output("enumerate", _lines_text(lines), args.output, 0)
+    return [header] + [",".join(str(v) for v in g.table) for g in bent], 0
 
 
 # -- selftest --------------------------------------------------------------------
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[list[str], int]:
     from .selftest import all_checks
 
     lines = []
@@ -265,7 +211,7 @@ def cmd_selftest(args) -> int:
     lines.append(
         f"selftest: {len(lines) - failures}/{len(lines)} suites passed (seed={args.seed})"
     )
-    return _write_output("selftest", _lines_text(lines), args.output, 0 if failures == 0 else 1)
+    return lines, 0 if failures == 0 else 1
 
 
 # -- parser ----------------------------------------------------------------------
@@ -306,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a function file")
     p.add_argument("--input", required=True, help="function file (JSON)")
     add_common(p, jobs=True)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, load=load_function)
 
     p = sub.add_parser("construct", help="build a function file from a spec file")
     p.add_argument("--input", required=True, help="construction spec file (JSON)")
     p.add_argument("--output", help="write the function file here instead of stdout")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, load=load_construction)
 
     p = sub.add_parser("tables", help="reproduce and diff the bundled reference tables")
     p.add_argument("--golden", help="directory with golden table files")
@@ -321,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="dump the exact spectrum of a function file")
     p.add_argument("--input", required=True, help="function file (JSON)")
     add_common(p, jobs=True)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, load=load_function)
 
     p = sub.add_parser("enumerate", help="desk-scale bent census")
     p.add_argument("--p", type=int, required=True)
@@ -338,8 +284,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand, handing it its --input file loaded, and return the exit
+    code; each subcommand returns its output, as lines or as text, and its code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            inputs = [args.load(args.input)] if "load" in args else []
+        except OSError as e:
+            raise _Refusal(f"cannot read {args.input}: {e}") from None
+        except FunctionFormatError as e:
+            raise _Refusal(f"{args.input}: {e}") from None
+        out, code = args.func(args, *inputs)
+        text = out if isinstance(out, str) else "\n".join(out) + "\n"
+        if not args.output:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _Refusal(f"cannot write {args.output}: {e.strerror or e}") from None
+        return code
+    except _Refusal as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
+    except Exception:
+        import traceback  # here, so a run that succeeds never pays for the import
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -295,6 +295,13 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"ring modulus {modulus} exceeds {MAX_MODULUS}")
 
 
+def _require_roots(modulus: int, order: int) -> None:
+    """Refuse, with a ValueError, a modulus M whose ring Z[zeta_M] lacks the
+    order-th roots of unity, i.e. one that is not a positive multiple of order."""
+    if modulus < 1 or modulus % order:
+        raise ValueError(f"modulus {modulus} is not a positive multiple of {order}")
+
+
 class _Context:
     """Per-modulus tables, read off Phi_M(x) = Phi_R(x^s), R = rad(M), s = M/R.
 

@@ -99,6 +99,7 @@ from .cyclotomic import (
     _pack_slots,
     _reduce_packed,
     _reduce_terms,
+    _require_roots,
     _slot_bytes,
     _slot_counts,
     root,
@@ -387,9 +388,8 @@ def wht_pary_fast(g: PAryFunction, modulus: Optional[int] = None) -> Spectrum:
     into Z_p. The optional modulus (a multiple of lcm(4, p)) lets callers
     receive the values already embedded in a larger working ring.
     """
-    base = lcm(4, g.p)
-    if modulus is not None and (modulus < 1 or modulus % base != 0):
-        raise ValueError(f"modulus {modulus} is not a positive multiple of {base}")
+    if modulus is not None:
+        _require_roots(modulus, lcm(4, g.p))
     return _fast_spectrum(g.as_gbfunction(), modulus)
 
 

@@ -8,6 +8,7 @@ from gbent import (
     GBFunction,
     InternalConsistencyError,
     PAryFunction,
+    Spectrum,
     FunctionDoc,
     all_points,
     analyze,
@@ -307,6 +308,49 @@ def test_hadamard_row_matches_definition(p, k):
     for bad in (-1, p ** (k - 1)):
         with pytest.raises(ValueError):
             hadamard_row(p, k, bad)
+
+
+def test_hadamard_row_refuses_modulus_without_zeta_p():
+    # Z[zeta_10] has no cube root of unity: the row would be powers of zeta_10^3.
+    with pytest.raises(ValueError, match="modulus 10 is not a positive multiple of 3"):
+        hadamard_row(3, 2, 1, modulus=10)
+
+
+def test_alpha_element_refuses_modulus_without_i():
+    # Z[zeta_6] has no i: the quarter turn 6 // 4 = 1 would be zeta_6.
+    with pytest.raises(ValueError, match="modulus 6 is not a positive multiple of 4"):
+        alpha_element("+i", 6)
+
+
+def test_row_decomp_refuses_values_outside_z_zeta_12():
+    # p^(n/2) i needs zeta_4 and zeta_3; the values live in Z[zeta_3] only.
+    values = [CycInt.integer(3, 3)] * 3
+    with pytest.raises(ValueError, match="modulus 3 is not a positive multiple of 12"):
+        row_decomp(values, 3, 2)
+
+
+@pytest.mark.parametrize("oracle", [is_gbent, spectral_form, regularity])
+@pytest.mark.parametrize(
+    "f, other",
+    [(GBFunction(3, 2, 9, (0,) * 9), GBFunction(3, 1, 9, (0, 1, 4))),
+     (GBFunction(3, 2, 9, (0,) * 9), GBFunction(3, 2, 3, (0,) * 9)),
+     (GBFunction(3, 1, 15, (0,) * 3), GBFunction(5, 1, 15, (0,) * 5))],
+    ids=["n", "q", "p"],
+)
+def test_oracles_refuse_a_spectrum_of_other_parameters(oracle, f, other):
+    # A spectrum at n = 1 would leave a report naming 3 of the 9 points.
+    with pytest.raises(ValueError, match=r"spectrum at \(p, n, q\)"):
+        oracle(f, wht_fast(other))
+
+
+def test_oracles_accept_a_spectrum_in_a_larger_ring():
+    # f = 3 x_1 x_2 into Z_9, read in Z[zeta_108] in place of Z[zeta_36].
+    f = GBFunction(3, 2, 9, (0, 0, 0, 0, 3, 6, 0, 6, 3))
+    s = wht_fast(f)
+    large = Spectrum(3, 2, 9, 3 * s.modulus, [v.promote(3 * s.modulus) for v in s.values])
+    assert is_gbent(f, large).is_gbent
+    assert regularity(f, large).verdict == regularity(f, s).verdict == "regular"
+    assert spectral_form(f, large).dual_table() == spectral_form(f, s).dual_table()
 
 
 def test_row_decomp_rejects_non_row():

@@ -247,6 +247,21 @@ def test_cli_output_matches_golden(capsys, monkeypatch, case):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{case['name']}.out").read_bytes()
 
 
+def test_crash_exits_three_not_one(capsys, monkeypatch):
+    # analyze exits 1 on "not gbent"; a fault inside the toolkit must not
+    # read as a verdict, nor leave half a report on stdout.
+    from gbent import classify
+    from gbent.errors import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("label check failed")
+
+    monkeypatch.setattr(classify, "_candidate_keys", broken)
+    code, out, err = run(capsys, "analyze", "--input", str(GOLDEN_DIR / "q27_table.json"))
+    assert (code, out) == (3, "")
+    assert "Traceback" in err and "InternalConsistencyError: label check failed" in err
+
+
 def _count_calls(monkeypatch, original):
     """Record every call to original through any gbent module that holds it."""
     calls = []
