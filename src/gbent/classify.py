@@ -23,14 +23,14 @@ a successful row match with one global alpha certifies weak regularity
 and produces the dual f*(u) = (q/p) j(u) + sum_i v_i(u) p^(k-1-i) mod q.
 The row table never forms the vector: coset r of transform's digit-slot
 butterfly is its inverse transform at row r, so one coset key
-(transform._coset_key) per distinct packed element, looked up in a cached
-table of the 2 p^k scaled rows (_candidate_keys), decides it. analyze, the
-row table and the certificate each read one butterfly, indexed once
-(_packed_pass). The certificate reads no spectral value: a key match fixes
-the value up to the slot map's kernel, and the one check left, that each
-candidate's alpha label is right, runs once per cached table;
-row_decomp, is_gbent, spectral_form and regularity keep the CycInt path
-for every q and are their oracles.
+(transform._coset_key) per distinct packed element, decoded by its column
+and 2p column-0 shapes (_candidate_keys), decides it. analyze, the row
+table and the certificate each read one butterfly, indexed once
+(_packed_pass). The certificate reads no spectral value: a decoded key
+fixes the value up to the slot map's kernel, and the one check left, that
+each candidate's alpha label is right, runs once per decoder; row_decomp,
+is_gbent, spectral_form and regularity keep the CycInt path for every q
+and are their oracles.
 """
 
 from __future__ import annotations
@@ -43,16 +43,10 @@ from typing import Callable, Optional, Sequence
 
 from .cyclotomic import CycInt, _context, _reduce_terms, _require_roots, root, sqrt_p_power
 from .errors import InternalConsistencyError
-from .gbfunc import (
-    ComponentTuple,
-    FunctionDoc,
-    GBFunction,
-    _pairing_rows,
-    _Record,
-    index_point,
-    point_index,
-)
-from .transform import Spectrum, _coset_key, _distinct, _engine, _per_distinct, _spread, wht_fast
+from .gbfunc import (ComponentTuple, FunctionDoc, GBFunction, _pairing_rows, _Record, index_point,
+                     point_index)
+from .transform import (Spectrum, _coset_key, _distinct, _engine, _key_columns, _per_distinct,
+                        _spread, wht_fast)
 
 ALPHAS = ("+1", "-1", "+i", "-i")
 _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
@@ -60,6 +54,8 @@ _ALPHA_QUARTER_TURNS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
 
 def alpha_element(alpha: str, modulus: int) -> CycInt:
     """The unit prefactor as a ring element (a power of zeta_4)."""
+    if alpha not in ALPHAS:
+        raise ValueError(f"alpha must be one of {', '.join(ALPHAS)}, got {alpha!r}")
     _require_roots(modulus, 4)
     return root(modulus, _ALPHA_QUARTER_TURNS[alpha] * (modulus // 4))
 
@@ -273,8 +269,8 @@ def row_decomp(values: Sequence[CycInt], p: int, n: int) -> Optional[RowDecomp]:
 
 def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tuple[CycInt, ...]:
     """Row `row` of H_p tensor ... tensor H_p (k-1 factors), big-endian."""
-    if not 0 <= row < p ** (k - 1):
-        raise ValueError(f"row {row} out of range for H_{p}^(tensor {k - 1})")
+    if k < 1 or not 0 <= row < p ** (k - 1):
+        raise ValueError(f"need k >= 1 and row in [0, {p}^(k-1)), got k={k}, row={row}")
     if modulus is None:
         modulus = lcm(4, p)
     _require_roots(modulus, p)
@@ -283,48 +279,48 @@ def hadamard_row(p: int, k: int, row: int, modulus: Optional[int] = None) -> tup
 
 
 @lru_cache(maxsize=16)
-def _candidate_keys(
-    p: int, n: int, k: int, nbytes: int
-) -> tuple[dict[int, SpectralForm], dict[int, RowDecomp]]:
-    """The coset keys (transform._coset_key, q = p^k slots of nbytes bytes)
-    of the elements p^(n/2) alpha zeta_q^e of Z[zeta_q], mapped to their
-    spectral forms and to their row decompositions.
+def _candidate_keys(p: int, n: int, k: int, nbytes: int) -> Callable[[int], tuple]:
+    """The decoder of coset keys (transform._coset_key, q = p^k slots of
+    nbytes bytes): the key of p^(n/2) alpha zeta_q^e in Z[zeta_q] decodes to
+    its (SpectralForm, RowDecomp), any other key to (None, None).
 
     p is totally ramified in Q(zeta_q), so by Kronecker's theorem these 2q
-    elements are all those of norm p^n: +-p^(n/2) X^e at even n and
-    +-p^((n-1)/2) g X^e at odd n, with g = sum_t (t/p) X^(tC), C = q/p, the
-    Gauss sum, sqrt(p) for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4; so the
-    alphas are expected_alphas'. Over the p^k digit slots, coset r is the
-    inverse transform at row r of the component-spectrum vector, which is
-    alpha zeta_p^j times row r exactly when the element is
-    p^(n/2) alpha X^(jC + r). The key is linear: each candidate's is a
-    signed sum of the monomials' keys.
-
-    The slot map sends the candidate sign p^(n//2) G X^(jC + r), G = g at
-    odd n and 1 at even n, to sign p^(n//2) G' zeta_q^((q/p) j + r), with
-    G' = sum_t (t/p) zeta_p^t the image of g (1 at even n). Each alpha label
-    is checked once per table, one ring product per sign: unless
-    sign p^(n//2) G' = p^(n/2) alpha, InternalConsistencyError is raised.
+    elements are all those of norm p^n: sign p^(n//2) G X^e, G = 1 at even n
+    and at odd n the Gauss sum g = sum_t (t/p) X^(tC), C = q/p, sqrt(p) or
+    i sqrt(p) for p = 1 or 3 mod 4; so the alphas are expected_alphas'. At
+    e = jC + r the component-spectrum vector is p^(n/2) alpha zeta_p^j
+    times row r, and the element counts only at slots r + iC, so
+    transform._key_columns splits its key into r and one of 2p column-0
+    shapes; records are built at first decode. Each alpha label is checked
+    once, one ring product per sign, against the slot map's image
+    sign p^(n//2) G' of the shape, G' = sum_t (t/p) zeta_p^t (1 at even n):
+    unless it is p^(n/2) alpha, InternalConsistencyError is raised.
     """
-    q, combos = p**k, p ** (k - 1)
-    key = _coset_key(p, q, nbytes)
-    unit = [key(1 << (e * 8 * nbytes)) for e in range(q)]
+    split, column = _key_columns(p, p**k, nbytes)
     gauss = [(0, 1)] if n % 2 == 0 else [
-        (t * combos, 1 if pow(t, (p - 1) // 2, p) == 1 else -1) for t in range(1, p)]
+        (t, 1 if pow(t, (p - 1) // 2, p) == 1 else -1) for t in range(1, p)]
     modulus = lcm(4, p)
     image = p ** (n // 2) * sum(
-        (c * root(modulus, s // combos * (modulus // p)) for s, c in gauss), CycInt.zero(modulus))
-    forms, rows = {}, {}
+        (c * root(modulus, t * (modulus // p)) for t, c in gauss), CycInt.zero(modulus))
+    shapes = {}
     for sign, alpha in zip((1, -1), expected_alphas(p, n)):
         if sign * image != sqrt_p_power(p, n, modulus) * alpha_element(alpha, modulus):
             raise InternalConsistencyError(
                 f"candidate label {alpha} does not match sign {sign} at p={p}, n={n}")
-        for e in range(q):
-            value = sign * p ** (n // 2) * sum(c * unit[(e + s) % q] for s, c in gauss)
-            forms[value] = SpectralForm(alpha, e)
-            rows[value] = RowDecomp(alpha, e // combos, index_point(p, k - 1, e % combos),
-                                    e % combos)
-    return forms, rows
+        for j in range(p):
+            shapes[sign * p ** (n // 2) * sum(c * column[(j + t) % p] for t, c in gauss)] = alpha, j
+
+    @lru_cache(maxsize=None)
+    def record(alpha: str, j: int, r: int) -> tuple[SpectralForm, RowDecomp]:
+        v = index_point(p, k - 1, r)
+        return SpectralForm(alpha, j * p ** (k - 1) + r), RowDecomp(alpha, j, v, r)
+
+    def decode(key: int) -> tuple:
+        r, shape = split(key)
+        hit = shapes.get(shape)
+        return (None, None) if hit is None else record(*hit, r)
+
+    return decode
 
 
 RowTable = tuple[Optional[RowDecomp], ...]
@@ -333,23 +329,23 @@ RowTable = tuple[Optional[RowDecomp], ...]
 def _packed_pass(source: GBFunction | ComponentTuple):
     """One butterfly over a component tuple's p^k digit slots or a table's q
     slots (transform._engine), indexed once: each point's position among the
-    distinct packed elements, their SpectralForm and RowDecomp lists by coset
-    key over p^k slots (None, None otherwise), and a reader of their
-    spectral values."""
+    distinct packed elements, their SpectralForms and RowDecomps decoded
+    from their coset keys over p^k slots (None, None otherwise), and a
+    reader of their spectral values."""
     p, n, k = source.p, source.n, source.k
     slots, packed, nbytes, read = _engine(source)
     distinct, positions = _distinct(packed)
     forms = rows = None
     if slots == p**k:
-        keys = list(map(_coset_key(p, slots, nbytes), distinct))
-        forms, rows = (list(map(table.get, keys)) for table in _candidate_keys(p, n, k, nbytes))
+        keys = map(_coset_key(p, slots, nbytes), distinct)
+        forms, rows = zip(*map(_candidate_keys(p, n, k, nbytes), keys))
     return positions, forms, rows, lambda: list(map(read, distinct))
 
 
 def component_row_table(t: ComponentTuple) -> RowTable:
     """The row decomposition of the component-spectrum vector at every point
     of Z_p^n, None where there is none; agrees with row_decomp on (S_a(u))_a.
-    One key and one dict lookup per distinct packed digit spectrum."""
+    One key and one decode per distinct packed digit spectrum."""
     positions, _, rows, _ = _packed_pass(t)
     return _spread(rows, positions)
 
@@ -426,15 +422,14 @@ def weak_regularity_certificate(t: ComponentTuple) -> Optional[DualCertificate]:
     """Certify weak regularity of compose(t) through its component rows.
 
     Succeeds when every point decomposes with a single global alpha, read
-    off one _packed_pass. No spectral value is read: a point's coset key
-    equals that of a candidate sign p^(n//2) G X^(jC + r) of
-    _candidate_keys, so its packed element differs from the candidate by a
-    constant on every coset, which the slot map sends to 0; its value is
-    therefore the candidate's image p^(n/2) alpha zeta_q^(f*(u)), with the
-    dual f*(u) = (q/p) j + r and alpha the label that _candidate_keys
-    checks once per table. Returns None otherwise; failure does not imply
-    the function is not gbent (the row condition is sufficient, not
-    necessary, for general q).
+    off one _packed_pass. No spectral value is read: a coset key decodes
+    (_candidate_keys) only when it is that of a candidate, so the packed
+    element differs from the candidate by a constant on every coset, which
+    the slot map sends to 0; the value is the candidate's image
+    p^(n/2) alpha zeta_q^(f*(u)), with the dual f*(u) = (q/p) j + r and
+    alpha as the decoder checks it. Returns None otherwise; failure does
+    not imply the function is not gbent (the row condition is sufficient,
+    not necessary, for general q).
     """
     p, n, q = t.p, t.n, t.q
     positions, _, rows, _ = _packed_pass(t)

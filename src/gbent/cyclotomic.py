@@ -718,7 +718,9 @@ def gauss_sqrt(p: int, modulus: Optional[int] = None) -> CycInt:
 
 def sqrt_p_power(p: int, n: int, modulus: int) -> CycInt:
     """p^(n/2) as a ring element: an integer for even n, else an integer
-    multiple of gauss_sqrt(p)."""
+    multiple of gauss_sqrt(p); n must be >= 0."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n % 2 == 0:
         return CycInt.integer(modulus, p ** (n // 2))
     return p ** ((n - 1) // 2) * gauss_sqrt(p, modulus)

@@ -12,26 +12,17 @@ One engine computes every spectrum, and two independent paths check it:
                       int holding q counts of b bits each, with 2^b > 2 p^n
                       (Kronecker substitution), so multiplying by zeta_p^t is
                       a cyclic rotation and the butterfly adds are native
-                      bigint adds. Point x starts as one count at slot f(x),
-                      so the first pass adds rotated single counts picked by
-                      slot index. Each pass reads groups of p consecutive
-                      items and writes output t of group i at
-                      t p^(n-1) + i, which leaves the points in index order
-                      after the last pass. Within a pass, groups with equal
-                      inputs are computed once and share their outputs;
-                      structured inputs repeat many. The slot map (below)
-                      then reads each distinct element into Z[zeta_M].
+                      bigint adds; point x starts as one count at slot f(x),
+                      and equal groups of a pass share their outputs
+                      (_group_ring_butterfly). The slot map (below) then
+                      reads each distinct element into Z[zeta_M].
                       wht_pary_fast is the same engine for p-ary functions,
                       with the values embedded in a caller-chosen ring.
   * wht_naive       - direct double loop over (u, x), O(p^(2n)); the trusted
-                      oracle the tests compare the engine against. Each
-                      term is a q-th root of unity, so x gets its p
-                      exponents (f(x) - (q/p) d) mod q once, and S(u)
-                      counts its terms over the q exponents of zeta_q,
-                      picking d = u.x mod p off gbfunc._pairing_rows, one
-                      row at a time in O(n p^n) memory, as gamma_general
-                      and classify's Hadamard rows do. It shares only the
-                      ring's canonicalization with the engine.
+                      oracle the tests compare the engine against. It
+                      counts each S(u) over the q exponents of zeta_q, one
+                      row of gbfunc._pairing_rows at a time, and shares only
+                      the ring's canonicalization with the engine.
   * wht_composed    - the paper's composition identity
                       S_f = (1/C) sum_a gamma_a S_a over the C = p^(k-1)
                       digit combinations, through the carry coefficients
@@ -59,19 +50,15 @@ r, read as an element of Z[zeta_p], is the inverse Hadamard transform at
 row r of the vector of combination spectra (S_a(u))_a, so one key names
 both the spectral value at q = p^k and the component-spectrum vector, and
 classify.analyze reads the verdict, the spectral form and the row table
-off one butterfly by one dict lookup per distinct key.
+off one butterfly by one decode per distinct key: a candidate
+p^(n/2) alpha zeta_q^e counts only at the slots r + iC of one column r,
+which _key_columns reads off the key's lowest nonzero digit.
 
 inverse_wht runs the engine's butterfly backwards, kernel zeta_p^(+u.x),
-over the M slots of Z[Z_M]: each spectral value is lifted slot for slot
-from its canonical coefficients and every slot raised by the largest
-coefficient magnitude B, so that all slots are nonnegative. The offset
-B sum_e zeta_M^e is fixed by every rotation and is 0 in Z[zeta_M], so it
-vanishes when the result is canonicalized. Each output is canonicalized
-straight from its packed int, M/R slots at a time through the ring's R
-rows (cyclotomic._reduce_packed, R = rad(M)), and read back by one signed
-unpack; slots of 2^b > L p^n 2B, with L the ring's fold, neither carry in
-the butterfly nor overflow in that unpack. An exact division by p^n
-finishes the inverse.
+over the M slots of Z[Z_M], on spectral values lifted to nonnegative
+slots by a constant that is 0 in Z[zeta_M]; each output is reduced
+straight from its packed int (cyclotomic._reduce_packed) and divided
+exactly by p^n.
 
 The gamma_a coefficient is the character-weighted sum of p^k-th roots of
 unity sum_v zeta_p^(-a.v) zeta_(p^k)^(sum_j v_j p^(k-1-j)); it converts
@@ -298,6 +285,22 @@ def _coset_key(p: int, slots: int, nbytes: int) -> Callable[[int], int]:
         return (v & low) - (v >> top) * broadcast
 
     return key
+
+
+def _key_columns(p: int, slots: int, nbytes: int) -> tuple[Callable, list[int]]:
+    """split, key -> (r, key moved down r slots) with r the column mod
+    C = slots/p of the key's lowest nonzero digit, and the keys of single
+    counts at slots jC, j < p. An element counted only at slots r + iC
+    splits into r and the key of its column-0 shape; any other nonzero key
+    keeps a digit outside column 0, and 0 stays 0."""
+    bits, combos = 8 * nbytes, slots // p
+    key = _coset_key(p, slots, nbytes)
+
+    def split(k: int) -> tuple[int, int]:
+        r = ((k & -k).bit_length() - 1) // bits % combos
+        return r, k >> (r * bits)
+
+    return split, [key(1 << (j * combos * bits)) for j in range(p)]
 
 
 def _distinct(items: Sequence) -> tuple[list, list[int]]:

@@ -117,6 +117,31 @@ def key_counts(key, p, slots, nbytes):
     return [d + lift for d in digits] + [lift] * (slots // p)
 
 
+def candidate_keys_oracle(p, n, k, nbytes):
+    """The coset keys (q = p^k slots of nbytes bytes) of the 2q elements
+    sign p^(n//2) G X^e of norm p^n, G = 1 at even n and the Gauss sum
+    sum_t (t/p) X^(tC), C = q/p, at odd n, each mapped to its SpectralForm
+    and to its RowDecomp: the full table of 2q keys, the oracle for
+    classify._candidate_keys's column decoder."""
+    from gbent.classify import RowDecomp, SpectralForm, expected_alphas
+    from gbent.gbfunc import index_point
+    from gbent.transform import _coset_key
+
+    q, combos = p**k, p ** (k - 1)
+    key = _coset_key(p, q, nbytes)
+    unit = [key(1 << (e * 8 * nbytes)) for e in range(q)]
+    gauss = [(0, 1)] if n % 2 == 0 else [
+        (t * combos, 1 if pow(t, (p - 1) // 2, p) == 1 else -1) for t in range(1, p)]
+    forms, rows = {}, {}
+    for sign, alpha in zip((1, -1), expected_alphas(p, n)):
+        for e in range(q):
+            value = sign * p ** (n // 2) * sum(c * unit[(e + s) % q] for s, c in gauss)
+            forms[value] = SpectralForm(alpha, e)
+            rows[value] = RowDecomp(alpha, e // combos, index_point(p, k - 1, e % combos),
+                                    e % combos)
+    return forms, rows
+
+
 def dense_sparse_powers(modulus):
     """The sparse canonical form of every power of zeta_modulus, by stepping
     a dense coefficient vector through all M powers and folding each spill

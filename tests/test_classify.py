@@ -35,10 +35,12 @@ from gbent import (
 )
 from gbent import classify, transform
 from gbent.classify import alpha_element
+from gbent.cyclotomic import _pack_slots
 from gbent.gbfunc import smallest_exponent
 from conftest import (
     all_slices,
     butterfly_bytes,
+    candidate_keys_oracle,
     component_vectors,
     key_counts,
     random_gbfunction,
@@ -320,6 +322,23 @@ def test_alpha_element_refuses_modulus_without_i():
     # Z[zeta_6] has no i: the quarter turn 6 // 4 = 1 would be zeta_6.
     with pytest.raises(ValueError, match="modulus 6 is not a positive multiple of 4"):
         alpha_element("+i", 6)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hadamard_row_refuses_k_below_one(p):
+    # H_p^(tensor k-1) has no rows for k < 1; p^(k-1) is a float there, which
+    # used to let row 0 through as a row of p^(1-k) or p ones.
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            hadamard_row(p, k, 0)
+
+
+@pytest.mark.parametrize("alpha", ["x", "1", "i", "", None, ["+1"]])
+def test_alpha_element_refuses_an_unknown_label(alpha):
+    # Only the four labels name a unit; any other value, unhashable ones too,
+    # is a ValueError, where an unknown string used to raise KeyError.
+    with pytest.raises(ValueError, match="alpha must be one of"):
+        alpha_element(alpha, 12)
 
 
 def test_row_decomp_refuses_values_outside_z_zeta_12():
@@ -734,27 +753,66 @@ def test_gbent_spectra_are_scaled_roots(rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_candidate_keys_label_like_unit_candidates(p, n):
-    # Every key of the norm-p^n table names the element of Z[zeta_q] that
-    # _unit_candidates labels the same way; there are 2q of them, the two
-    # expected alphas at every e; and the row table's (alpha, j, row) is the
-    # same candidate with e = j C + row.
+    # Every element sign p^(n//2) G X^e of norm p^n, built here slot by slot,
+    # decodes to the label _unit_candidates gives its ring element; the 2q of
+    # them cover the two expected alphas at every e; and the row's
+    # (alpha, j, row) is the same candidate with e = j C + row.
     nbytes = butterfly_bytes(p, n)
+    squares = {t * t % p for t in range(1, p)}
+    gauss = [(0, 1)] if n % 2 == 0 else [(t, 1 if t in squares else -1) for t in range(1, p)]
     for k in (1, 2):
         q, combos = p**k, p ** (k - 1)
         modulus = lcm(4, q)
-        forms, rows = classify._candidate_keys(p, n, k, nbytes)
+        decode = classify._candidate_keys(p, n, k, nbytes)
+        key = transform._coset_key(p, q, nbytes)
         candidates = classify._unit_candidates(p, n, q, modulus)
-        assert sorted((fm.alpha, fm.dual) for fm in forms.values()) == sorted(
+        labels = []
+        for sign in (1, -1):
+            for e in range(q):
+                counts = [0] * q
+                for t, c in gauss:
+                    counts[(e + t * combos) % q] = sign * c * p ** (n // 2)
+                # A constant on every coset is in the kernel: lift to nonnegative.
+                lifted = [c + p ** (n // 2) for c in counts]
+                form, row = decode(key(_pack_slots(lifted, nbytes)))
+                value = transform._counts_to_cycint(modulus, counts, modulus // q)
+                assert candidates[value] == (form.alpha, form.dual)
+                assert value.norm_sq() == p**n
+                assert row.v == rank_vector(p, k - 1, row.row)
+                assert (row.alpha, row.j * combos + row.row) == (form.alpha, form.dual)
+                labels.append((form.alpha, form.dual))
+        assert sorted(labels) == sorted(
             (alpha, e) for alpha in expected_alphas(p, n) for e in range(q))
-        for key, form in forms.items():
-            value = transform._counts_to_cycint(modulus, key_counts(key, p, q, nbytes),
-                                                modulus // q)
-            assert candidates[value] == (form.alpha, form.dual)
-            assert value.norm_sq() == p**n
-        assert rows.keys() == forms.keys()
-        for key, d in rows.items():
-            assert d.v == rank_vector(p, k - 1, d.row)
-            assert (d.alpha, d.j * combos + d.row) == (forms[key].alpha, forms[key].dual)
+
+
+DECODER_SETS = [(p, k) for p in (3, 5, 7, 11) for k in range(1, 7) if p**k <= 729]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p, k", DECODER_SETS, ids=[f"p{p}k{k}" for p, k in DECODER_SETS])
+def test_candidate_keys_decode_like_the_table(rng, p, k, n):
+    # The column decoder agrees with the full table of 2q keys: every
+    # candidate key decodes to the same (alpha, e, j, v, row), and random
+    # keys and candidates moved by one count hit exactly when the table does.
+    nbytes = butterfly_bytes(p, n)
+    q, bits = p**k, 8 * nbytes
+    forms, rows = candidate_keys_oracle(p, n, k, nbytes)
+    decode = classify._candidate_keys(p, n, k, nbytes)
+    assert len(forms) == len(rows) == 2 * q
+    for key in forms:
+        assert decode(key) == (forms[key], rows[key])
+    key, digits = transform._coset_key(p, q, nbytes), (p - 1) * (q // p)
+    probes = [0]
+    for base in rng.sample(sorted(forms), min(len(forms), 200)):
+        probes.append(base + rng.choice((1, -1)) * (1 << (rng.randrange(digits) * bits)))
+        counts = key_counts(base, p, q, nbytes)
+        counts[rng.randrange(q)] += 1
+        probes.append(key(_pack_slots(counts, nbytes)))
+    for _ in range(200):
+        probes.append(key(_pack_slots([rng.randrange(p**n + 1) for _ in range(q)], nbytes)))
+    for probe in probes:
+        hit = decode(probe)
+        assert hit == ((forms[probe], rows[probe]) if probe in forms else (None, None))
 
 
 def _quadratic(rng, p, n, q):

@@ -109,6 +109,14 @@ def test_sqrt_p_power():
     assert odd * odd == 27
 
 
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_sqrt_p_power_refuses_negative_n(n):
+    # p^(n/2) is no cyclotomic integer for n < 0: -2 used to give the float
+    # 1/3 as a coefficient, and -1 a TypeError.
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sqrt_p_power(3, n, 12)
+
+
 def test_modulus_mismatch():
     with pytest.raises(ModulusMismatchError):
         root(9, 1) + root(4, 1)  # 9 and 4 have no divisibility relation
