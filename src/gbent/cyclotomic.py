@@ -34,15 +34,19 @@ division is ever formed. cyclotomic_polynomial(m) spreads the same Phi_R
 to Phi_R(x^(m/R)).
 
 A product of dense operands (nnz(a) nnz(b) > phi(M)) is one bigint
-multiply (Kronecker substitution): each operand is packed one coefficient
-per signed slot of one Python int, slots wide enough for every coefficient
-of the product. Sparse operands, such as roots of unity, keep the loop
-over nonzero pairs, which is faster for them. A product with one root of
-unity zeta_M^t is a rotation (CycInt.rotate): every exponent moves up by t
-and is reduced once. A norm z conj(z) is the same product of the
-coefficients with their reversal, an autocorrelation whose nonnegative
-exponents are already canonical. The spectrum engine packs its group-ring
-elements in the same slots, unsigned.
+multiply (Kronecker substitution) and one block reduction, the same in
+every ring (_ring_product): each operand is packed one coefficient per
+signed slot of one Python int, and the product's slots, raised by a bound
+on their magnitude, are wrapped onto the M slots of Z[Z_M] (slot e + M
+added to slot e) and lifted to one offset in every slot, which is 0 in
+Z[zeta_M]; _reduce_packed then reads the canonical coefficients. A norm
+z conj(z) is the same product of the coefficients with their reversal,
+moved down phi(M) - 1 exponents. Sparse operands, such as roots of unity,
+and the norms of sparse elements keep the loop over nonzero pairs, which
+is faster for them. A product with one root of unity zeta_M^t is a
+rotation (CycInt.rotate): every exponent moves up by t and is reduced
+once. The spectrum engine packs its group-ring elements in the same
+slots, unsigned.
 
 Text is read and written through one cached table per modulus (_symbols):
 the symbols "z", "z^2", ... of the powers below phi(M), in order, each
@@ -61,8 +65,8 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import combinations, compress
-from math import prod
-from operator import add, sub
+from math import isqrt, prod
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ExactDivisionError, InternalConsistencyError, ModulusMismatchError
@@ -220,37 +224,6 @@ def _unpack_signed(packed: int, slots: int, nbytes: int) -> Sequence[int]:
     return _read_slots(raw, nbytes, True)
 
 
-def _convolve(a: Sequence[int], b: Optional[Sequence[int]] = None) -> Sequence[int]:
-    """The coefficients of the polynomial product of a and b, len(a) = len(b);
-    without b, of a and its reversal (the autocorrelation of a).
-
-    Dense operands (nnz(a) nnz(b) > len(a)) take one bigint product of
-    their signed packings, in slots above twice the largest product
-    coefficient; sparse ones, such as roots of unity, loop over their
-    nonzero pairs. A reversal has the nonzero count and bound of a, so an
-    autocorrelation takes them once.
-    """
-    deg = len(a)
-    auto = b is None
-    if auto:
-        b = a[::-1]
-    nnz_a = deg - a.count(0)
-    nnz_b = nnz_a if auto else deg - b.count(0)
-    if nnz_a * nnz_b > deg:
-        big_a = max(max(a), -min(a))
-        big_b = big_a if auto else max(max(b), -min(b))
-        nbytes = _slot_bytes(2 * min(nnz_a, nnz_b) * big_a * big_b)
-        product = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
-        return _unpack_signed(product, 2 * deg - 1, nbytes)
-    conv = [0] * (2 * deg - 1)
-    terms_b = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in terms_b:
-                conv[i + j] += ai * bj
-    return conv
-
-
 def _power_rows(phi: Sequence[int], order: int) -> list[tuple[tuple[int, int], ...]]:
     """The sparse canonical forms of y^0, ..., y^(order-1) in Z[y]/phi, y of
     that order.
@@ -288,7 +261,10 @@ MAX_MODULUS = 5000
 
 
 def _check_modulus(modulus: int) -> None:
-    """Refuse, with a ValueError, a ring modulus M < 1 or over MAX_MODULUS."""
+    """Refuse a ring modulus that is no int, or a bool, with a TypeError, and
+    one M < 1 or over MAX_MODULUS with a ValueError."""
+    if not isinstance(modulus, int) or isinstance(modulus, bool):
+        raise TypeError(f"ring modulus must be an int, got {modulus!r}")
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if modulus > MAX_MODULUS:
@@ -395,9 +371,59 @@ def _reduce_packed(ctx: _Context, packed: int, nbytes: int) -> Sequence[int]:
     return _unpack_signed(acc, ctx.degree, nbytes)
 
 
-@lru_cache(maxsize=None)
+# Typed, so that _context(True) is not the cached ring of modulus 1.
+@lru_cache(maxsize=None, typed=True)
 def _context(modulus: int) -> _Context:
     return _Context(modulus)
+
+
+@lru_cache(maxsize=64)
+def _wrap_offsets(modulus: int, start: int, slots: int, nbytes: int) -> tuple[int, int]:
+    """(offsets, mask) for wrapping the slots from start onto Z[Z_M].
+
+    Slot k of Z[Z_M] is covered c_k times by the slots from start (the ones
+    with index = k mod M), at most c = ceil(slots / M) times. offsets packs
+    a 1 in each of those slots and c - c_k more in slot k < M, so that every
+    slot of Z[Z_M] holds c once folded; mask is the M slots.
+    """
+    covers = [0] * modulus
+    for k in range(start, start + slots):
+        covers[k % modulus] += 1
+    most = max(covers)
+    counts = [0] * start + [1] * slots + [0] * (modulus - start - slots)
+    for k, c in enumerate(covers):
+        counts[k] += most - c
+    return _pack_slots(counts, nbytes), (1 << (8 * nbytes * modulus)) - 1
+
+
+def _ring_product(
+    ctx: _Context, a: Sequence[int], b: Sequence[int], base: int, bound: int
+) -> Sequence[int]:
+    """Canonical coefficients of sum a_i b_j zeta_M^(i + j + base), for
+    phi(M) entries each and every |sum_(i+j=k) a_i b_j| at most bound.
+
+    The signed packed product holds those sums in its 2 phi(M) - 1 slots,
+    each in [-bound, bound]. Moved up base mod M slots, with bound added to
+    each, its slots are counts; folding every slot at or past M back onto
+    slot - M (zeta_M^M = 1) and lifting the slots of fewer covers
+    (_wrap_offsets) leaves each slot of Z[Z_M] a count in [0, 2 c bound],
+    c = ceil((2 phi(M) - 1) / M), with c bound of it offset. The offset
+    c bound sum_e zeta_M^e is 0 in Z[zeta_M] for M > 1, so _reduce_packed
+    reads the coefficients, at most fold c bound, in slots of
+    _slot_bytes(2 fold c bound). A degree-1 ring (M = 1, 2) is the integers.
+    """
+    modulus, deg = ctx.modulus, ctx.degree
+    if deg == 1:
+        return [a[0] * b[0] * ctx.sparse_powers[base % modulus][0][1]]
+    slots, start = 2 * deg - 1, base % modulus
+    nbytes = _slot_bytes(2 * ctx.fold * -(-slots // modulus) * bound)
+    offsets, mask = _wrap_offsets(modulus, start, slots, nbytes)
+    product = _pack_signed(a, nbytes) * _pack_signed(b, nbytes)
+    packed = (product << (8 * nbytes * start)) + bound * offsets
+    bits = 8 * nbytes * modulus
+    while high := packed >> bits:
+        packed = (packed & mask) + high
+    return _reduce_packed(ctx, packed, nbytes)
 
 
 class CycInt:
@@ -496,11 +522,23 @@ class CycInt:
             return CycInt(self.modulus, tuple(other * x for x in self.coeffs))
         a, b = self._pair(other)
         ctx = _context(a.modulus)
+        a, b = a.coeffs, b.coeffs
         deg = ctx.degree
-        conv = _convolve(a.coeffs, b.coeffs)
-        # Exponents up to 2 deg - 2 reach past M when M is prime.
+        nnz_a, nnz_b = deg - a.count(0), deg - b.count(0)
+        if nnz_a * nnz_b > deg:
+            # Cauchy-Schwarz: |sum_(i+j=k) a_i b_j|^2 <= sum a_i^2 sum b_j^2.
+            bound = isqrt(sum(map(mul, a, a)) * sum(map(mul, b, b)))
+            return CycInt(ctx.modulus, _ring_product(ctx, a, b, 0, bound))
+        # Sparse operands, such as roots of unity: one loop over the nonzero
+        # pairs, then the exponents at or past phi(M) through their rows.
+        conv = [0] * (2 * deg - 1)
+        terms_b = [(j, bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in terms_b:
+                    conv[i + j] += ai * bj
         spill = zip(range(deg, 2 * deg - 1), conv[deg:])
-        return CycInt(a.modulus, _reduce_terms(ctx, spill, list(conv[:deg])))
+        return CycInt(ctx.modulus, _reduce_terms(ctx, spill, conv[:deg]))
 
     __rmul__ = __mul__
 
@@ -535,21 +573,24 @@ class CycInt:
     def norm_sq(self) -> "CycInt":
         """z times conj(z); for a root of unity this is 1.
 
-        One autocorrelation: the product of the coefficients with their
-        reversal holds sum_i c_i c_(i-e) at slot e + deg - 1, the coefficient
-        of zeta_M^e in z conj(z). The exponents 0 <= e < deg are already
-        canonical; only the deg - 1 negative ones are reduced, slot i by the
-        sparse row of zeta_M^(i - deg + 1) = zeta_M^(M - deg + 1 + i).
+        conj(z) = sum_j c_j zeta_M^(-j), so z conj(z) is the sum of
+        c_i c_j zeta_M^(i - j). When nnz^2 <= phi(M), as for gbent spectra,
+        those pairs are reduced as terms. Otherwise it is the product of the
+        coefficients with their reversal, whose slot k holds the exponent
+        k + 1 - phi(M): one packed product, wrapped onto Z[Z_M] and reduced
+        in blocks (_ring_product). Each slot is a sum sum_i c_i c_(i-e),
+        at most sum_i c_i^2 in magnitude, which bounds the slot width.
         """
+        coeffs = self.coeffs
         ctx = _context(self.modulus)
-        deg = ctx.degree
-        conv = _convolve(self.coeffs)
-        acc = list(conv[deg - 1 :])
-        for c, row in zip(conv, ctx.sparse_powers[ctx.modulus - deg + 1 :]):
-            if c:
-                for l, r in row:
-                    acc[l] += c * r
-        return CycInt(self.modulus, acc)
+        nnz = ctx.degree - coeffs.count(0)
+        if nnz * nnz <= ctx.degree:
+            terms = [(j, c) for j, c in enumerate(coeffs) if c]
+            pairs = ((i - j, ci * cj) for i, ci in terms for j, cj in terms)
+            return CycInt(self.modulus, _reduce_terms(ctx, pairs))
+        bound = sum(map(mul, coeffs, coeffs))
+        reduced = _ring_product(ctx, coeffs, coeffs[::-1], 1 - ctx.degree, bound)
+        return CycInt(self.modulus, reduced)
 
     def divide_exact(self, divisor: int) -> "CycInt":
         """Divide every coefficient by an integer; error on any remainder."""
@@ -587,6 +628,11 @@ class CycInt:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        """A rational integer hashes as its int, in every ring, as it equals
+        that int. Other elements equal across rings by promotion, such as
+        root(3, 1) and root(9, 3), still hash by their own ring."""
+        if self.is_rational_integer():
+            return hash(self.coeffs[0])
         return hash((self.modulus, self.coeffs))
 
     def __str__(self):
@@ -658,6 +704,8 @@ def parse_cycint(text: str) -> CycInt:
 def root(modulus: int, t: int) -> CycInt:
     """The canonical form of zeta_modulus^t; root(M, 0) is the identity."""
     _check_modulus(modulus)
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise TypeError(f"root exponent must be an int, got {t!r}")
     return _root(modulus, t % modulus)
 
 

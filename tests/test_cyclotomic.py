@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -6,6 +7,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.densearith import dup_rem
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import ZZ
 
 from gbent import (
     CycInt,
@@ -39,14 +43,20 @@ MODULI = [1, 2, 3, 4, 9, 12, 21, 27, 36, 84, 100, 108]
 WIDE_MODULI = [105, 385, 1155, 2310, 3465, 4620]
 
 
+@functools.lru_cache(maxsize=None)
+def sympy_phi(modulus):
+    """sympy's Phi_M as a dense list over ZZ, highest coefficient first."""
+    return [ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(modulus, X), X).all_coeffs()]
+
+
 def sympy_reduce(modulus, coeffs):
-    """Independent reduction: plain polynomial rem by sympy's Phi_M."""
-    poly = sympy.Poly(list(reversed(coeffs)), X, domain="ZZ")
-    phi = sympy.Poly(sympy.cyclotomic_poly(modulus, X), X, domain="ZZ")
-    rem = poly.rem(phi)
-    out = [0] * phi.degree()
-    for exp, c in zip(rem.monoms(), rem.coeffs()):
-        out[exp[0]] = int(c)
+    """Independent reduction: plain polynomial rem by sympy's Phi_M, on
+    dense coefficient lists (Poly.rem is ten times slower at M = 1372)."""
+    phi = sympy_phi(modulus)
+    rem = dup_rem(dup_strip([ZZ(c) for c in reversed(coeffs)]), phi, ZZ)
+    out = [0] * (len(phi) - 1)
+    for exp, c in enumerate(reversed(rem)):
+        out[exp] = int(c)
     return tuple(out)
 
 
@@ -164,6 +174,28 @@ def test_root_refuses_bad_modulus_and_caches_nothing(modulus, needle):
     assert _context.cache_info().currsize == contexts.currsize
 
 
+@pytest.mark.parametrize("bad", [True, False, 12.0, 1.5, "12", None])
+def test_ring_refuses_a_modulus_or_exponent_that_is_no_int(bad):
+    # A bool is an int to Python: True used to build or reuse the ring of
+    # modulus 1 and print "(mod True) 0"; a float failed deep in the tables.
+    CycInt.zero(1), root(12, 1)  # the rings 1 and 12 are cached
+    needle = re.escape(f"ring modulus must be an int, got {bad!r}")
+    for build in (lambda: CycInt(bad, (0,)), lambda: CycInt.zero(bad),
+                  lambda: CycInt.integer(bad, 5), lambda: root(bad, 0)):
+        with pytest.raises(TypeError, match=needle):
+            build()
+    with pytest.raises(TypeError, match=re.escape(f"root exponent must be an int, got {bad!r}")):
+        root(12, bad)
+
+
+def test_rational_integers_hash_as_their_int():
+    fives = [CycInt.integer(12, 5), CycInt.integer(36, 5), CycInt.integer(1, 5), 5]
+    assert all(a == b for a in fives for b in fives)
+    assert len(set(fives)) == 1 and {5: "x"}.get(CycInt.integer(12, 5)) == "x"
+    assert hash(CycInt.zero(108)) == hash(0) and hash(CycInt.integer(4, -3)) == hash(-3)
+    assert len({root(12, 1), root(12, 2), root(12, 1) * 1}) == 2
+
+
 def test_ring_cap_refuses_before_any_table():
     # None of these starts a table: sparse_powers alone would hold one
     # entry per power of zeta_M, 3 10^12 of them.
@@ -232,8 +264,9 @@ def test_multiplication_matches_sympy(a, b):
 @pytest.mark.parametrize("modulus,unit_exponents", [(420, (143, 146)), (500, (200, 203))])
 def test_product_branches_match_sympy(modulus, unit_exponents, monkeypatch):
     # Units with 2 (M = 420) or 4 (M = 500) terms multiply on the sparse
-    # branch; a unit times a dense element and dense times dense go through
-    # the packed product, at every slot width.
+    # loop; a unit times a dense element and dense times dense are one
+    # packed product, in slots of 2 fold bound: fold is 68 at M = 420, so
+    # its narrowest slot is 2 bytes, and 4 at M = 500, where it is 1.
     widths = []
     pack = cyclotomic._pack_signed
     monkeypatch.setattr(
@@ -249,7 +282,26 @@ def test_product_branches_match_sympy(modulus, unit_exponents, monkeypatch):
                 for _ in range(2))
         assert (u * a).coeffs == sympy_product(u, a)
         assert (a * b).coeffs == sympy_product(a, b)
-    assert {1, 2, 4, 8} <= set(widths) and max(widths) > 8
+    assert min(widths) == (2 if modulus == 420 else 1)
+    assert {2, 4, 8} <= set(widths) and max(widths) > 8
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 5, 9, 12, 27, 84, 100, 108])
+def test_ring_product_matches_pair_terms(modulus):
+    # Below M = 30 every base, so the product starts at every slot of
+    # Z[Z_M]: at M = 5, 9 and 27, 2 phi(M) - 1 > M and a slot collects two
+    # sums, and from base M - 1 at M = 5 and 9 the slots fold twice.
+    ctx = _context(modulus)
+    rng = random.Random(modulus)
+    degree = ctx.degree
+    bases = [0, 1 - degree, *range(-modulus, 2 * modulus, 1 if modulus < 30 else 7)]
+    for bound in (1,) + MAGNITUDES:
+        a, b = ([rng.randint(-bound, bound) for _ in range(degree)] for _ in range(2))
+        top = degree * bound * bound
+        for base in bases:
+            pairs = ((i + j + base, x * y) for i, x in enumerate(a) for j, y in enumerate(b))
+            assert list(cyclotomic._ring_product(ctx, a, b, base, top)) == \
+                _reduce_terms(ctx, pairs), (bound, base)
 
 
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
@@ -493,13 +545,18 @@ def _norm_cases(modulus):
     return values + [(2**70 + 1) * v for v in values]
 
 
-@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 12, 84, 108, 196, 420, 500])
+@pytest.mark.parametrize(
+    "modulus", [1, 2, 3, 4, 5, 7, 9, 12, 25, 27, 84, 108, 196, 420, 500, 1372]
+)
 def test_norm_sq_matches_product_and_sympy(modulus):
     for v in _norm_cases(modulus):
         norm = v.norm_sq()
         assert norm == v * v.conj()
-        # sympy's oracle conjugates on its own: zeta^j -> zeta^(M - j).
+        # The oracle conjugates on its own, zeta^j -> zeta^(M - j): z conj(z)
+        # is sum c_i c_j zeta^(i - j), exponents mod M, reduced by sympy.
+        terms = [(j, c) for j, c in enumerate(v.coeffs) if c]
         poly = [0] * modulus
-        for j, c in enumerate(v.coeffs):
-            poly[-j % modulus] = c
-        assert norm.coeffs == sympy_product(v, CycInt(modulus, sympy_reduce(modulus, poly)))
+        for i, ci in terms:
+            for j, cj in terms:
+                poly[(i - j) % modulus] += ci * cj
+        assert norm.coeffs == sympy_reduce(modulus, poly)
